@@ -112,8 +112,9 @@ def test_decision_sequence_speedup(benchmark):
     The reference re-fits every zone's chain at every decision point
     (``bucket_s=None``) and evaluates all 210 permutations exhaustively
     (``prune=False``) — the configuration both kept in-repo as the
-    correctness baseline.  The production path buckets and rolls the
-    fits forward incrementally and lower-bounds the permutation loop.
+    correctness baseline.  The production path buckets the fits,
+    counts each window from precomputed codes and lower-bounds the
+    permutation loop.
     The measured speedup lands in ``BENCH_adaptive.json`` (the
     ``BENCH_engine.json`` pattern) and CI fails below 5x.
     """

@@ -386,10 +386,10 @@ class SweepExecutor:
 
         The pre-warmed tables cover the full evaluation span at the
         production oracle's bucket grid: per-bucket stationary vectors
-        (one rolling-fitter walk in the parent replaces one
-        eigendecomposition sweep *per worker*) and crossing indices for
-        the bid grid plus the large-bid threshold (the fast engine's
-        segment-skipping lookups).
+        (one walk over the buckets' fitted chains in the parent
+        replaces one eigendecomposition sweep *per worker*) and
+        crossing indices for the bid grid plus the large-bid threshold
+        (the fast engine's segment-skipping lookups).
         """
         try:
             trace, eval_start = evaluation_window(self.window, self.seed)

@@ -25,6 +25,12 @@ Two cache layers exist:
   fitted models and to the batch statistics arrays that
   :meth:`zone_stats` serves, so the Adaptive grid, the per-policy
   scalar queries, and parallel sweep workers all hit the same entries.
+
+Bucket chains come from one :class:`RollingMarkovFitter` per zone,
+which codes the zone's series once and counts each history window
+from those codes directly, so a fit costs the same whatever bucket
+was fitted before it — the vector engine's lockstep rounds query
+buckets out of time order.
 """
 
 from __future__ import annotations
@@ -52,8 +58,9 @@ class PriceOracle:
     #: literal per-decision protocol, kept as the reference (and
     #: benchmark baseline) for the bucketed production path.
     bucket_s: float | None = 3600.0
-    #: Maintain per-zone rolling-window fitters and re-condition
-    #: intra-bucket refits via ``with_initial`` instead of refitting.
+    #: Fit bucket chains through per-zone :class:`RollingMarkovFitter`
+    #: window counts and re-condition intra-bucket refits via
+    #: ``with_initial`` instead of refitting.
     #: Bit-identical to the full refit path (tests enforce it); keep
     #: switchable so differential suites can compare both.
     incremental: bool = True
@@ -68,8 +75,8 @@ class PriceOracle:
     _uprun_cache: dict = field(default_factory=dict, repr=False)
     #: (zone, i0, i1) -> min price over that exact sample range.
     _minprice_cache: dict = field(default_factory=dict, repr=False)
-    #: zone -> rolling-window fitter maintaining the trailing window's
-    #: transition counts incrementally as buckets advance.
+    #: zone -> fitter counting any trailing window's transitions from
+    #: the zone's precomputed price-pair codes.
     _fitters: dict = field(default_factory=dict, repr=False)
     #: (zone, bucket) -> precomputed stationary vector, installed by
     #: :meth:`seed_stationary` (the sweep pool's shared-memory arena).
@@ -193,11 +200,11 @@ class PriceOracle:
     def markov_model(self, zone: str, t: float) -> PriceMarkovModel:
         """Markov chain fitted on the trailing history, hourly refreshed.
 
-        On the incremental path the fit consumes the zone's rolling
-        window statistics (O(samples entering + leaving) per bucket
-        advance); the full-window ``PriceMarkovModel.fit`` remains the
-        reference and the two are bit-identical at every bucket
-        boundary.
+        On the incremental path the fit counts the window from the
+        zone fitter's precomputed pair codes (one ``np.bincount``,
+        whatever bucket was fitted before); the full-window
+        ``PriceMarkovModel.fit`` remains the reference and the two are
+        bit-identical at every bucket boundary.
         """
         key = (zone, self._bucket(t))
         model = self._markov_cache.get(key)
@@ -234,8 +241,8 @@ class PriceOracle:
         """Fit every ``(zone, bucket)`` chain over ``[t0, t1)`` and
         return the stationary vectors keyed for :meth:`seed_stationary`.
 
-        The rolling fitters make the walk O(total samples) and chain
-        dedup collapses calm stretches, so prewarming a whole
+        Each bucket's window is counted with one ``np.bincount`` and
+        chain dedup collapses calm stretches, so prewarming a whole
         evaluation window costs well under a second — paid once by the
         pool parent instead of once per worker.  Returns ``{}`` for a
         reference oracle (``bucket_s=None``): per-decision refits have

@@ -561,21 +561,24 @@ def combined_expected_uptime(
 
 
 class RollingMarkovFitter:
-    """Incremental refitter for a sliding window over one price series.
+    """Order-free refitter for history windows over one price series.
 
-    The oracle re-fits each zone's chain on a trailing 2-day window
-    whose boundaries advance one bucket at a time; recounting all 576
-    samples per advance is pure waste when only a handful of samples
-    enter and leave.  This fitter keeps the window's sufficient
-    statistics — per-pair transition counts and per-level occupancy —
-    and updates them in O(samples entering + leaving) as the window
-    slides.  Materializing a model replays ``PriceMarkovModel.fit``'s
-    exact floating-point pipeline on those counts, so the result is
-    bit-identical to a full refit of the same window: same levels,
-    same transition matrix, same stationary vector.
+    The oracle re-fits each zone's chain on a trailing 2-day window,
+    one bucket at a time and in whatever order its callers ask (the
+    vector engine's lockstep rounds jump back and forth in time).  The
+    constructor indexes the series once: with ``code[i]`` the rank of
+    sample i's price among the L distinct prices, every consecutive
+    pair gets the code ``code[i] * L + code[i + 1]``.  A window's
+    transition counts are then one ``np.bincount`` over a slice of
+    those codes, so no window's counts depend on the window fitted
+    before it.  Materializing a model replays
+    ``PriceMarkovModel.fit``'s exact floating-point pipeline on those
+    counts, so the result is bit-identical to a full refit of the same
+    window: same levels, same transition matrix, same stationary
+    vector.
 
     Materialized chains are memoized by their count signature: calm
-    stretches where consecutive windows share the same transition
+    stretches where different windows share the same transition
     multiset (common on the low-volatility window) collapse to a
     single chain object, sharing its eigendecomposition and absorbing
     solves across buckets.
@@ -586,14 +589,21 @@ class RollingMarkovFitter:
         prices: np.ndarray,
         step_s: float = float(SAMPLE_INTERVAL_S),
     ) -> None:
-        self._prices = np.asarray(prices, dtype=np.float64)
-        if self._prices.ndim != 1:
+        prices = np.asarray(prices, dtype=np.float64)
+        if prices.ndim != 1:
             raise MarkovError("price series must be one-dimensional")
+        if not np.isfinite(prices).all():
+            raise MarkovError("price series must be finite")
+        self._levels, codes = np.unique(prices, return_inverse=True)
+        n = self._levels.size
+        # Pair codes stay below n * n; the narrowest signed type that
+        # holds them keeps the per-zone index small, and bincount widens
+        # it losslessly.
+        self._pairs = (codes[:-1] * n + codes[1:]).astype(np.min_scalar_type(-n * n))
+        self._size = prices.size
         self._step_s = float(step_s)
         self._lo = 0
         self._hi = 0
-        self._pair_counts: dict[tuple[float, float], int] = {}
-        self._occupancy: dict[float, int] = {}
         self._chains: dict = {}
 
     @property
@@ -601,106 +611,32 @@ class RollingMarkovFitter:
         """Current window as a half-open index span ``[lo, hi)``."""
         return (self._lo, self._hi)
 
-    # -- statistic maintenance -----------------------------------------
-
-    def _add_pairs(self, lo: int, hi: int) -> None:
-        """Count pairs ``(p[i], p[i+1])`` for ``i`` in ``[lo, hi)``."""
-        prices, pairs = self._prices, self._pair_counts
-        for i in range(lo, hi):
-            key = (float(prices[i]), float(prices[i + 1]))
-            pairs[key] = pairs.get(key, 0) + 1
-
-    def _remove_pairs(self, lo: int, hi: int) -> None:
-        pairs = self._pair_counts
-        prices = self._prices
-        for i in range(lo, hi):
-            key = (float(prices[i]), float(prices[i + 1]))
-            left = pairs[key] - 1
-            if left:
-                pairs[key] = left
-            else:
-                del pairs[key]
-
-    def _add_occupancy(self, lo: int, hi: int) -> None:
-        occ, prices = self._occupancy, self._prices
-        for i in range(lo, hi):
-            level = float(prices[i])
-            occ[level] = occ.get(level, 0) + 1
-
-    def _remove_occupancy(self, lo: int, hi: int) -> None:
-        occ, prices = self._occupancy, self._prices
-        for i in range(lo, hi):
-            level = float(prices[i])
-            left = occ[level] - 1
-            if left:
-                occ[level] = left
-            else:
-                del occ[level]
-
-    def _rebuild(self, lo: int, hi: int) -> None:
-        """Recount from scratch (first use, or a jump past the window)."""
-        self._pair_counts.clear()
-        self._occupancy.clear()
-        self._add_pairs(lo, hi - 1)
-        self._add_occupancy(lo, hi)
-
     def set_window(self, lo: int, hi: int) -> None:
-        """Slide the window to ``[lo, hi)``, updating stats by deltas.
-
-        Overlapping moves touch only the samples entering and leaving;
-        a disjoint jump (or a move larger than the overlap saves)
-        recounts, which is never worse than the non-incremental path.
-        """
+        """Move the window to ``[lo, hi)``; counting waits for :meth:`model`."""
         lo, hi = int(lo), int(hi)
-        if not 0 <= lo <= hi <= self._prices.size:
+        if not 0 <= lo <= hi <= self._size:
             raise MarkovError(
-                f"window [{lo}, {hi}) out of range for {self._prices.size} samples"
+                f"window [{lo}, {hi}) out of range for {self._size} samples"
             )
-        if (lo, hi) == (self._lo, self._hi):
-            return
-        overlap = min(hi, self._hi) - max(lo, self._lo)
-        entering = (hi - lo) - max(overlap, 0)
-        leaving = (self._hi - self._lo) - max(overlap, 0)
-        if overlap <= 0 or entering + leaving >= hi - lo:
-            self._rebuild(lo, hi)
-        else:
-            # Shared samples remain counted; pairs straddling a moving
-            # edge are re-derived from the edge indices alone.
-            if lo > self._lo:
-                self._remove_pairs(self._lo, lo)
-                self._remove_occupancy(self._lo, lo)
-            elif lo < self._lo:
-                self._add_pairs(lo, self._lo)
-                self._add_occupancy(lo, self._lo)
-            if hi > self._hi:
-                self._add_pairs(self._hi - 1, hi - 1)
-                self._add_occupancy(self._hi, hi)
-            elif hi < self._hi:
-                self._remove_pairs(hi - 1, self._hi - 1)
-                self._remove_occupancy(hi, self._hi)
         self._lo, self._hi = lo, hi
 
-    # -- materialization -----------------------------------------------
+    def _materialize(self, pair_counts: np.ndarray) -> PriceMarkovModel:
+        """Build the current window's chain from its flat pair counts.
 
-    def _materialize(self) -> PriceMarkovModel:
-        """Build the chain from the maintained counts.
-
-        Replays ``PriceMarkovModel.fit`` operation for operation on a
-        counts matrix reconstructed from the pair dictionary — the
-        integer counts are identical to ``bincount`` over the window,
-        so every downstream float is bit-identical.
+        Replays ``PriceMarkovModel.fit`` operation for operation on the
+        counts of the window's occupied levels — the integer counts are
+        identical to ``bincount`` over the window's own level index, so
+        every downstream float is bit-identical.  Every sample of a
+        window of two or more is an endpoint of one of its pairs, so the
+        occupied levels are the rows and columns with any count.
         """
         n_samples = self._hi - self._lo
-        if n_samples < 2:
-            raise MarkovError("need at least two samples to fit transitions")
-        occ = self._occupancy
-        levels = np.fromiter(sorted(occ), dtype=np.float64, count=len(occ))
-        index = {level: i for i, level in enumerate(levels.tolist())}
+        big = self._levels.size
+        grid = pair_counts.reshape(big, big)
+        occupied = np.flatnonzero(grid.sum(axis=0) + grid.sum(axis=1))
+        levels = self._levels[occupied]
         n = levels.size
-        counts = np.zeros((n, n), dtype=np.int64)
-        for (a, b), c in self._pair_counts.items():
-            counts[index[a], index[b]] = c
-        counts = counts.astype(np.float64)
+        counts = grid[np.ix_(occupied, occupied)].astype(np.float64)
         row_sums = counts.sum(axis=1, keepdims=True)
         trans = np.where(
             row_sums > 0, counts / np.where(row_sums == 0, 1, row_sums), 0.0
@@ -735,12 +671,16 @@ class RollingMarkovFitter:
         therefore one stationary eigendecomposition and one absorbing
         solve table — across buckets.
         """
-        key = (
-            self._hi - self._lo,
-            frozenset(self._pair_counts.items()),
+        lo, hi = self._lo, self._hi
+        if hi - lo < 2:
+            raise MarkovError("need at least two samples to fit transitions")
+        pair_counts = np.bincount(
+            self._pairs[lo:hi - 1], minlength=self._levels.size ** 2
         )
+        seen = np.flatnonzero(pair_counts)
+        key = (hi - lo, seen.tobytes(), pair_counts[seen].tobytes())
         base = self._chains.get(key)
         if base is None:
-            base = self._materialize()
+            base = self._materialize(pair_counts)
             self._chains[key] = base
         return base.with_initial(current_price)

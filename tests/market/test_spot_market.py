@@ -158,6 +158,22 @@ class TestIncrementalOracleDifferential:
                 ):
                     assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("window", ["low", "high"])
+    def test_reverse_query_order_gives_identical_chains(self, window):
+        from repro.traces.library import evaluation_window
+
+        trace, eval_start = evaluation_window(window)
+        times = [eval_start + h * 3600.0 + 600.0 for h in range(24)]
+        forward, backward = PriceOracle(trace), PriceOracle(trace)
+        for zone in trace.zone_names:
+            fwd = [forward.markov_model(zone, t) for t in times]
+            bwd = [backward.markov_model(zone, t) for t in reversed(times)]
+            for got, want in zip(reversed(bwd), fwd):
+                assert np.array_equal(got.levels, want.levels)
+                assert np.array_equal(got.trans, want.trans)
+                assert np.array_equal(got.initial, want.initial)
+                assert got.fit_window_s == want.fit_window_s
+
     def test_cheap_and_uptime_views_match_zone_stats(self):
         from repro.market.constants import bid_grid
         from repro.traces.library import evaluation_window

@@ -1,13 +1,14 @@
 """The rolling-window fitter must be invisible in the fitted chains.
 
-``RollingMarkovFitter`` maintains a sliding window's transition counts
-and occupancy incrementally; materializing a chain replays
-``PriceMarkovModel.fit``'s float pipeline on those counts, so every
-window position must yield the *bit-identical* model a full refit of
-the same samples produces — same levels, same transition matrix, same
-stationary vector.  These tests sweep real evaluation-window zones and
-randomized series through overlapping slides, shrinks, grows, and
-disjoint jumps.
+``RollingMarkovFitter`` counts each window's transitions from
+price-pair codes precomputed once per series; materializing a chain
+replays ``PriceMarkovModel.fit``'s float pipeline on those counts, so
+every window must yield the *bit-identical* model a full refit of the
+same samples produces — same levels, same transition matrix, same
+stationary vector — whatever order the windows are visited in.  These
+tests sweep real evaluation-window zones and randomized series through
+overlapping slides, shrinks, grows, disjoint jumps and shuffled
+visiting orders.
 """
 
 from __future__ import annotations
@@ -104,9 +105,13 @@ class TestWindowMoves:
     def test_same_window_is_a_noop(self):
         fitter = RollingMarkovFitter(self.PRICES)
         self.check(fitter, 0, 30)
-        counts_before = dict(fitter._pair_counts)
+        # Conditioned on the cheapest level, model() hands back the
+        # memoized chain itself rather than a re-anchored copy.
+        cheapest = float(self.PRICES[:30].min())
+        before = fitter.model(cheapest)
         fitter.set_window(0, 30)
-        assert fitter._pair_counts == counts_before
+        assert fitter.window == (0, 30)
+        assert fitter.model(cheapest) is before
 
     def test_out_of_range_window_rejected(self):
         fitter = RollingMarkovFitter(self.PRICES)
@@ -119,9 +124,45 @@ class TestWindowMoves:
 
     def test_too_small_window_rejected_at_materialize(self):
         fitter = RollingMarkovFitter(self.PRICES)
-        fitter.set_window(3, 4)
+        for lo, hi in [(3, 4), (7, 7), (0, 0)]:
+            fitter.set_window(lo, hi)  # in range: accepted
+            with pytest.raises(MarkovError):
+                fitter.model(0.3)
+
+
+class TestEdgeCases:
+    def test_single_level_series(self):
+        prices = np.full(40, 0.3)
+        fitter = RollingMarkovFitter(prices)
+        fitter.set_window(5, 30)
+        model = fitter.model(0.3)
+        assert model.num_states == 1
+        assert_same_chain(model, reference(prices, 5, 30, 0.3))
+
+    def test_window_ending_at_last_sample(self):
+        prices = TestWindowMoves.PRICES
+        fitter = RollingMarkovFitter(prices)
+        for lo in (0, 40, prices.size - 2):
+            fitter.set_window(lo, prices.size)
+            current = float(prices[-1])
+            assert_same_chain(
+                fitter.model(current), reference(prices, lo, prices.size, current)
+            )
+
+    def test_unset_window_raises_at_model(self):
         with pytest.raises(MarkovError):
-            fitter.model(0.3)
+            RollingMarkovFitter(TestWindowMoves.PRICES).model(0.3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prices_rejected(self, bad):
+        prices = TestWindowMoves.PRICES.copy()
+        prices[17] = bad
+        with pytest.raises(MarkovError):
+            RollingMarkovFitter(prices)
+
+    def test_two_dimensional_prices_rejected(self):
+        with pytest.raises(MarkovError):
+            RollingMarkovFitter(np.ones((4, 4)))
 
 
 @settings(deadline=None, max_examples=60)
@@ -148,6 +189,43 @@ def test_random_series_random_slides_bit_identical(seq, moves):
         assert_same_chain(
             fitter.model(current), reference(prices, lo, hi, current)
         )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seq=st.lists(
+        st.sampled_from([0.25, 0.4, 0.55, 0.9, 1.3]), min_size=24, max_size=96
+    ),
+    spans=st.lists(
+        st.tuples(st.integers(0, 90), st.integers(2, 40)),
+        min_size=1,
+        max_size=12,
+    ),
+    data=st.data(),
+)
+def test_query_order_does_not_change_chains(seq, spans, data):
+    prices = np.array(seq)
+    windows = sorted({
+        (lo, min(lo + span, prices.size))
+        for lo, span in ((min(lo, prices.size - 2), span) for lo, span in spans)
+    })
+    shuffled_order = data.draw(st.permutations(windows))
+    in_order = RollingMarkovFitter(prices)
+    shuffled = RollingMarkovFitter(prices)
+
+    def visit(fitter, lo, hi):
+        fitter.set_window(lo, hi)
+        cheapest = fitter.model(float(prices[lo:hi].min()))
+        return cheapest, fitter.model(float(prices[hi - 1]))
+
+    first = {w: visit(in_order, *w) for w in windows}
+    for w in shuffled_order:
+        cheapest, current = visit(shuffled, *w)
+        assert_same_chain(cheapest, first[w][0])
+        assert_same_chain(current, first[w][1])
+    # Revisiting a window (in any order) returns the memoized chain.
+    for w in shuffled_order:
+        assert visit(in_order, *w)[0] is first[w][0]
 
 
 class TestSeedStationary:
