@@ -348,8 +348,9 @@ def vector_differential_run(
     vec = VectorSimulator(
         oracle=PriceOracle(trace), queue_model=qm, record_events=True
     )
-    vector_results = vec.run_batch(
-        config, policy_factory, bid, zones, starts, start_rngs()
+    vector_results = vec.run_cube(
+        [config], policy_factory, zones, [0] * len(starts),
+        [bid] * len(starts), starts, start_rngs(),
     )
 
     report = VectorDifferentialReport(
@@ -385,7 +386,7 @@ def vector_differential_adaptive(
     with a fresh controller, bootstrapped exactly like the experiment
     runner's Adaptive cells (``PeriodicPolicy`` at ``bids[0]`` on the
     trace's first zone); the vector side serves the whole axis through
-    :meth:`~repro.core.vector_engine.VectorSimulator.run_adaptive_batch`.
+    :meth:`~repro.core.vector_engine.VectorSimulator.run_adaptive_cube`.
     Beyond the usual field-by-field diffs, bit-identical event streams
     here certify *winner-identical controller decisions*: every
     ``config-switch`` event carries the chosen policy, bid and zone
@@ -432,8 +433,9 @@ def vector_differential_adaptive(
     vec = VectorSimulator(
         oracle=PriceOracle(trace), queue_model=qm, record_events=True
     )
-    vector_results = vec.run_adaptive_batch(
-        config, controller_factory, starts, start_rngs()
+    vector_results = vec.run_adaptive_cube(
+        [config], controller_factory, [0] * len(starts), starts,
+        start_rngs(),
     )
 
     report = VectorDifferentialReport(
@@ -530,9 +532,9 @@ def vector_differential_grid(
     vec = VectorSimulator(
         oracle=PriceOracle(trace), queue_model=qm, record_events=True
     )
-    vector_results = vec.run_grid(
-        config, policy_factory, zones, row_bids, row_starts, row_rngs(),
-        clone_of=clone_of,
+    vector_results = vec.run_cube(
+        [config], policy_factory, zones, [0] * len(row_starts), row_bids,
+        row_starts, row_rngs(), clone_of=clone_of,
     )
 
     report = VectorDifferentialReport(

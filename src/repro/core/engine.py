@@ -341,7 +341,7 @@ class SpotSimulator:
         for z in zones:
             if z not in self.oracle.zone_names:
                 raise EngineError(f"zone {z!r} not in trace {self.oracle.zone_names}")
-        if bid <= 0:
+        if not bid > 0:  # also rejects NaN; an infinite bid is legal
             raise EngineError(f"bid must be positive, got {bid}")
         deadline = start_time + config.deadline_s
         if deadline > self.oracle.trace.end_time:

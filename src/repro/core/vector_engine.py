@@ -44,25 +44,28 @@ when recorded — matches entry for entry.  The differential suite
 (:func:`repro.audit.differential.vector_differential_run`) holds the
 engine to it.
 
-Scope: the native vectorized path covers runs at any start time
+Scope: one lockstep core serves every batch — runs at any start time
 (fractional starts replay the scalar engine's per-tick accrual loop
 inside the bulk skip) under policies that declare a ``vector_kind``
 ("periodic", "edge", "never", "markov-daly", "threshold",
-"large-bid"), over any zone set, each run at its own bid.
+"large-bid"), over any zone set, each run at its own bid.  Every row
+carries a policy-kind code, and the decision step and the quiescence
+horizon are one kernel per kind, run only over that kind's rows:
 Markov-Daly's re-arm clock, Periodic's per-(zone, hour) latch and
 Large-bid's released-hour latch plus deferred manual termination ride
 along as decision-state columns; Threshold's price and execution-time
 guards evaluate per run against the oracle's memoized statistics.
-Adaptive-controller runs take their own native path
-(:meth:`VectorSimulator.run_adaptive_batch`): per-run controller state
-(bid, zone set, policy kind, re-plan clock) lives in columns, decision
-epochs are detected column-wise, and triggered rows share one
-:class:`~repro.core.adaptive.SelectionMemo` so the dense candidate
-selection is paid once per (bucket matrices, deadline clock) signature
-and fanned out.  Anything else — unknown policies, non-adaptive
-controllers, run-time dynamics — automatically falls back to a per-run
-scalar fast engine sharing the same RNG stream and run cache, so
-callers never need to know which path served them; the
+Adaptive-controller runs (:meth:`VectorSimulator.run_adaptive_cube`)
+use the same core with one more step between the deadline guard and
+the policy actions: per-run controller state (bid, zone set, policy
+kind, re-plan clock) lives in the same plan columns a native batch
+sets once, decision epochs are detected column-wise, and triggered
+rows share one :class:`~repro.core.adaptive.SelectionMemo` so the
+dense candidate selection is paid once per (bucket matrices, deadline
+clock) signature and fanned out.  Anything else — unknown policies,
+non-adaptive controllers, run-time dynamics — automatically falls back
+to a per-run scalar fast engine sharing the same RNG stream and run
+cache, so callers never need to know which path served them; the
 :attr:`VectorSimulator.stats` counters say which one did (fallback
 reasons come from the closed :data:`FALLBACK_REASONS` enum).
 """
@@ -74,7 +77,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.app.workload import ExperimentConfig
 from repro.core.engine import EngineError, Event, RunResult, SpotSimulator
 from repro.market.constants import ON_DEMAND_PRICE, SAMPLE_INTERVAL_S
 from repro.market.queuing import QueueDelayModel
@@ -86,10 +88,12 @@ from repro.stats.daly import daly_interval
 # billing hour), mirroring ``RUNNING_STATES``.
 DOWN, WAITING, QUEUING, RESTARTING, COMPUTING, CHECKPOINTING = range(6)
 
-#: Policy ``vector_kind`` values the native path can express.
-NATIVE_KINDS = frozenset(
-    {"periodic", "edge", "never", "markov-daly", "threshold", "large-bid"}
-)
+#: Policy ``vector_kind`` values the native path can express; a row's
+#: kind code is the value's index here.
+_KINDS = ("periodic", "edge", "never", "markov-daly", "threshold", "large-bid")
+NATIVE_KINDS = frozenset(_KINDS)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_PERIODIC, _EDGE, _NEVER, _MARKOV_DALY, _THRESHOLD, _LARGE_BID = range(6)
 
 # -- fallback reasons ---------------------------------------------------
 #
@@ -234,55 +238,6 @@ class VectorSimulator:
 
     # ------------------------------------------------------------------
 
-    def run_batch(
-        self,
-        config: ExperimentConfig,
-        policy_factory,
-        bid: float,
-        zones: tuple[str, ...],
-        starts,
-        rngs,
-    ) -> list[RunResult]:
-        """Simulate one run per (start, rng) pair; results in order.
-
-        Equivalent to ``SpotSimulator(engine_mode="fast").run(config,
-        policy_factory(), bid, zones, start)`` once per start with the
-        matching generator — bit-identical results, shared cache
-        entries, identical RNG streams afterwards.
-        """
-        return self.run_grid(
-            config, policy_factory, zones,
-            [bid] * len(starts), starts, rngs,
-        )
-
-    def run_grid(
-        self,
-        config: ExperimentConfig,
-        policy_factory,
-        zones: tuple[str, ...],
-        bids,
-        starts,
-        rngs,
-        clone_of=None,
-    ) -> list[RunResult]:
-        """Simulate one run per (bid, start, rng) row; results in order.
-
-        ``clone_of`` optionally maps row ``i`` to a representative row
-        whose trajectory is bid-for-bid identical (same availability
-        signature, from :func:`repro.core.bid_batch.bid_equivalence_classes`);
-        for bid-invariant policies those rows are served by cloning the
-        representative's result with only the bid rewritten — exactly
-        what the scalar batched bid-axis path does — consuming no RNG
-        draws and writing no cache entries.  Rows outside the native
-        scope (no recognized ``vector_kind``) fall back to per-run
-        scalar fast simulation under :data:`FALLBACK_POLICY`.
-        """
-        return self.run_cube(
-            [config], policy_factory, zones,
-            [0] * len(starts), bids, starts, rngs,
-            clone_of=clone_of,
-        )
-
     def run_cube(
         self,
         configs,
@@ -300,49 +255,30 @@ class VectorSimulator:
         checkpoint configuration at several deadlines) and
         ``shape_idx[i]`` names row ``i``'s shape.  Every row is
         bit-identical — RunResult, event log, RNG draw sequence, cache
-        address — to a scalar fast run at its own shape: shape rows
-        share the lockstep round loop and the per-(zone, bid) crossing
-        arrays, never each other's arithmetic.  ``clone_of`` rows are
-        honored only within a shape (a clone must share its
-        representative's deadline as well as its availability
-        signature).  Rows outside the native scope fall back to per-run
-        scalar fast simulation under :data:`FALLBACK_POLICY` at their
-        own shape.
+        address — to ``SpotSimulator(engine_mode="fast").run(
+        configs[shape_idx[i]], policy_factory(), bids[i], zones,
+        starts[i])`` with generator ``rngs[i]``: shape rows share the
+        lockstep round loop and the per-(zone, bid) crossing arrays,
+        never each other's arithmetic.  A start axis is the one-shape,
+        one-bid special case.
+
+        ``clone_of`` optionally maps row ``i`` to a representative row
+        whose trajectory is bid-for-bid identical (same availability
+        signature, from :func:`repro.core.bid_batch.bid_equivalence_classes`);
+        for bid-invariant policies those rows are served by cloning the
+        representative's result with only the bid rewritten — exactly
+        what the scalar batched bid-axis path does — consuming no RNG
+        draws and writing no cache entries.  Clones are honored only
+        within a shape (a clone must share its representative's
+        deadline as well as its availability signature).  Rows outside
+        the native scope (no recognized ``vector_kind``) fall back to
+        per-run scalar fast simulation under :data:`FALLBACK_POLICY` at
+        their own shape.
         """
         zones = tuple(zones)
-        starts = [float(s) for s in starts]
-        configs = list(configs)
-        shape_idx = [int(s) for s in shape_idx]
-        if not configs:
-            raise EngineError("at least one job shape is required")
-        if len(shape_idx) != len(starts):
-            raise EngineError(
-                f"{len(starts)} starts but {len(shape_idx)} shape rows"
-            )
-        for s in shape_idx:
-            if not 0 <= s < len(configs):
-                raise EngineError(
-                    f"shape index {s} outside 0..{len(configs) - 1}"
-                )
-        if len(rngs) != len(starts):
-            raise EngineError(
-                f"{len(starts)} starts but {len(rngs)} rng streams"
-            )
-        if len(bids) != len(starts):
-            raise EngineError(
-                f"{len(starts)} starts but {len(bids)} bids"
-            )
-        if not zones:
-            raise EngineError("at least one zone is required")
-        for z in zones:
-            if z not in self.oracle.zone_names:
-                raise EngineError(
-                    f"zone {z!r} not in trace {self.oracle.zone_names}"
-                )
-        for b in bids:
-            if b <= 0:
-                raise EngineError(f"bid must be positive, got {b}")
-
+        configs, shape_idx, starts = self._check_rows(
+            configs, shape_idx, starts, rngs, zones=zones, bids=bids
+        )
         probe = policy_factory()
         kind = native_batch_kind(probe, zones)
         n = len(starts)
@@ -377,9 +313,14 @@ class VectorSimulator:
 
         sim_rows = [i for i in range(n) if is_native[i] and i not in plan]
         if sim_rows:
-            self._run_native_rows(
-                configs, probe, kind, zones, shape_idx, bids, starts,
-                rngs, sim_rows, results,
+            self._run_rows(
+                {
+                    "policy": probe.canonical_params(),
+                    "zones": zones,
+                    "controller": None,
+                },
+                configs, probe, zones, shape_idx, bids, starts, rngs,
+                sim_rows, results,
             )
             self.stats.native += len(sim_rows)
         for i, rep in sorted(plan.items()):
@@ -399,31 +340,6 @@ class VectorSimulator:
                 )
         return results
 
-    def run_adaptive_batch(
-        self,
-        config: ExperimentConfig,
-        controller_factory,
-        starts,
-        rngs,
-    ) -> list[RunResult]:
-        """Simulate one controller-driven run per (start, rng) pair.
-
-        Equivalent to ``SpotSimulator(engine_mode="fast").run(config,
-        PeriodicPolicy(), ctrl.bids[0], oracle.zone_names[:1], start,
-        controller=ctrl)`` once per start with a fresh controller from
-        ``controller_factory`` — the bootstrap configuration the
-        experiment runner uses for Adaptive cells — bit-identical
-        results, shared cache entries, identical RNG streams afterwards.
-        The native path batches :class:`~repro.core.adaptive.\
-AdaptiveController` exactly (a subclass may override decision rules the
-        columns hard-code, so it must match the class itself); any other
-        controller falls back to per-run scalar fast simulation under
-        :data:`FALLBACK_CONTROLLER`.
-        """
-        return self.run_adaptive_cube(
-            [config], controller_factory, [0] * len(starts), starts, rngs
-        )
-
     def run_adaptive_cube(
         self,
         configs,
@@ -434,34 +350,28 @@ AdaptiveController` exactly (a subclass may override decision rules the
     ) -> list[RunResult]:
         """Simulate one controller-driven run per (shape, start, rng) row.
 
-        The shape axis works exactly as in :meth:`run_cube`: row ``i``
-        runs at ``configs[shape_idx[i]]``, bit-identical to a scalar
-        fast controller run at that shape, while the deadline ladder
-        shares the round loop, the crossing caches and — through the
-        shared :class:`~repro.core.adaptive.SelectionMemo`, whose keys
-        carry the job shape — the dense candidate selections.
+        Row ``i`` is bit-identical to ``SpotSimulator(engine_mode=
+        "fast").run(configs[shape_idx[i]], PeriodicPolicy(),
+        ctrl.bids[0], oracle.zone_names[:1], starts[i],
+        controller=ctrl)`` with a fresh controller from
+        ``controller_factory`` — the bootstrap configuration the
+        experiment runner uses for Adaptive cells — and generator
+        ``rngs[i]``.  The shape axis works exactly as in
+        :meth:`run_cube`; the deadline ladder also shares, through the
+        batch's :class:`~repro.core.adaptive.SelectionMemo` (whose keys
+        carry the job shape), the dense candidate selections.  The
+        native path batches :class:`~repro.core.adaptive.\
+AdaptiveController` exactly (a subclass may override decision rules the
+        columns hard-code, so it must match the class itself); any other
+        controller falls back to per-run scalar fast simulation under
+        :data:`FALLBACK_CONTROLLER`.
         """
         from repro.core.adaptive import AdaptiveController
         from repro.core.periodic import PeriodicPolicy
 
-        starts = [float(s) for s in starts]
-        configs = list(configs)
-        shape_idx = [int(s) for s in shape_idx]
-        if not configs:
-            raise EngineError("at least one job shape is required")
-        if len(shape_idx) != len(starts):
-            raise EngineError(
-                f"{len(starts)} starts but {len(shape_idx)} shape rows"
-            )
-        for s in shape_idx:
-            if not 0 <= s < len(configs):
-                raise EngineError(
-                    f"shape index {s} outside 0..{len(configs) - 1}"
-                )
-        if len(rngs) != len(starts):
-            raise EngineError(
-                f"{len(starts)} starts but {len(rngs)} rng streams"
-            )
+        configs, shape_idx, starts = self._check_rows(
+            configs, shape_idx, starts, rngs
+        )
         n = len(starts)
         probe = controller_factory()
         init_zones = tuple(self.oracle.zone_names[:1])
@@ -480,24 +390,78 @@ AdaptiveController` exactly (a subclass may override decision rules the
                     ctrl.bids[0], init_zones, starts[i], controller=ctrl,
                 )
             return results
-        self._run_adaptive_rows(
-            configs, controller_factory, probe, shape_idx, starts, rngs,
-            list(range(n)), results,
+        boot = PeriodicPolicy()
+        params = probe.canonical_params()
+        self._run_rows(
+            None if params is None else {
+                "policy": boot.canonical_params(),
+                "zones": init_zones,
+                "controller": params,
+            },
+            configs, boot, init_zones, shape_idx,
+            [float(probe.bids[0])] * n, starts, rngs, range(n), results,
+            controller_factory,
         )
         self.stats.native += n
         return results
 
-    # -- cache-aware native dispatch ---------------------------------------
+    def _check_rows(
+        self, configs, shape_idx, starts, rngs, zones=None, bids=None
+    ) -> tuple[list, list[int], list[float]]:
+        """Validate a batch's row arguments; return ``(configs,
+        shape_idx, starts)`` as lists.  ``zones`` and ``bids`` are
+        checked when the caller supplies them."""
+        starts = [float(s) for s in starts]
+        configs = list(configs)
+        shape_idx = [int(s) for s in shape_idx]
+        if not configs:
+            raise EngineError("at least one job shape is required")
+        if len(shape_idx) != len(starts):
+            raise EngineError(
+                f"{len(starts)} starts but {len(shape_idx)} shape rows"
+            )
+        for s in shape_idx:
+            if not 0 <= s < len(configs):
+                raise EngineError(
+                    f"shape index {s} outside 0..{len(configs) - 1}"
+                )
+        if len(rngs) != len(starts):
+            raise EngineError(
+                f"{len(starts)} starts but {len(rngs)} rng streams"
+            )
+        if bids is not None and len(bids) != len(starts):
+            raise EngineError(
+                f"{len(starts)} starts but {len(bids)} bids"
+            )
+        if zones is not None:
+            if not zones:
+                raise EngineError("at least one zone is required")
+            for z in zones:
+                if z not in self.oracle.zone_names:
+                    raise EngineError(
+                        f"zone {z!r} not in trace {self.oracle.zone_names}"
+                    )
+        for b in bids or ():
+            if not b > 0:  # also rejects NaN; an infinite bid is legal
+                raise EngineError(f"bid must be positive, got {b}")
+        return configs, shape_idx, starts
 
-    def _run_native_rows(
-        self, configs, probe, kind, zones, shape_idx, bids, starts, rngs,
-        idxs, results,
+    # -- cache-aware dispatch ----------------------------------------------
+
+    def _run_rows(
+        self, key_base, configs, policy, zones, shape_idx, bids, starts,
+        rngs, idxs, results, controller_factory=None,
     ) -> None:
-        """Serve ``idxs`` from the cache where possible, batch the rest."""
+        """Serve rows ``idxs`` from the run cache where possible and
+        advance the rest through :meth:`_simulate_rows`.
+
+        ``key_base`` is the caller's part of the content address (policy,
+        zones, controller), or ``None`` when the runs cannot be cached.
+        """
         cache = self.run_cache
         keys: dict[int, str] = {}
-        todo = idxs
-        if cache is not None:
+        todo = list(idxs)
+        if cache is not None and key_base is not None:
             oracle = self.oracle
             shared = {
                 "trace": oracle.trace.fingerprint(),
@@ -511,10 +475,8 @@ AdaptiveController` exactly (a subclass may override decision rules the
                 "engine_mode": "fast",
                 "record_events": self.record_events,
                 "record_timeline": False,
-                "policy": probe.canonical_params(),
-                "zones": zones,
-                "controller": None,
                 "queue_model": self.queue_model,
+                **key_base,
             }
             # one base per job shape: ``config`` is part of the content
             # address, so every cube row lands on exactly the entry its
@@ -543,81 +505,12 @@ AdaptiveController` exactly (a subclass may override decision rules the
         if not todo:
             return
         batch, draws = self._simulate_rows(
-            configs, probe, kind, zones,
+            configs, policy, zones,
             [shape_idx[i] for i in todo],
             [float(bids[i]) for i in todo],
             [starts[i] for i in todo],
             [rngs[i] for i in todo],
-        )
-        if keys:
-            from repro.experiments.cache import CachedRun
-        for j, i in enumerate(todo):
-            results[i] = batch[j]
-            if i in keys:
-                cache.put(
-                    keys[i],
-                    CachedRun(result=batch[j], rng_draws=int(draws[j])),
-                )
-
-    def _run_adaptive_rows(
-        self, configs, controller_factory, probe, shape_idx, starts, rngs,
-        idxs, results,
-    ) -> None:
-        """Serve ``idxs`` from the cache where possible, batch the rest."""
-        from repro.core.periodic import PeriodicPolicy
-
-        cache = self.run_cache
-        init_zones = tuple(self.oracle.zone_names[:1])
-        keys: dict[int, str] = {}
-        todo = idxs
-        controller_params = probe.canonical_params()
-        if cache is not None and controller_params is not None:
-            oracle = self.oracle
-            shared = {
-                "trace": oracle.trace.fingerprint(),
-                "oracle": {
-                    "history_s": oracle.history_s,
-                    "bucket_s": oracle.bucket_s,
-                    "incremental": oracle.incremental,
-                },
-                # Adaptive vector results are bit-identical to scalar
-                # fast controller runs, so they share those addresses.
-                "engine_mode": "fast",
-                "record_events": self.record_events,
-                "record_timeline": False,
-                "policy": PeriodicPolicy().canonical_params(),
-                "bid": float(probe.bids[0]),
-                "zones": init_zones,
-                "controller": controller_params,
-                "queue_model": self.queue_model,
-            }
-            bases = [{**shared, "config": cfg} for cfg in configs]
-            todo = []
-            for i in idxs:
-                try:
-                    key = cache.run_key({
-                        **bases[shape_idx[i]],
-                        "start_time": starts[i],
-                        "rng": rngs[i].bit_generator.state,
-                    })
-                except TypeError:
-                    todo.append(i)
-                    continue
-                entry = cache.get(key)
-                if entry is not None:
-                    for _ in range(entry.rng_draws):
-                        self.queue_model.sample(rngs[i])
-                    results[i] = entry.result
-                else:
-                    keys[i] = key
-                    todo.append(i)
-        if not todo:
-            return
-        batch, draws = self._simulate_adaptive_rows(
-            configs, controller_factory, probe,
-            [shape_idx[i] for i in todo],
-            [starts[i] for i in todo],
-            [rngs[i] for i in todo],
+            controller_factory,
         )
         if keys:
             from repro.experiments.cache import CachedRun
@@ -632,29 +525,55 @@ AdaptiveController` exactly (a subclass may override decision rules the
     # -- the lockstep core -------------------------------------------------
 
     def _simulate_rows(
-        self, configs, probe, kind, zones, shape_idx, bids, starts, rngs
+        self, configs, policy, zones, shape_idx, bids, starts, rngs,
+        controller_factory=None,
     ) -> tuple[list[RunResult], np.ndarray]:
-        """Advance ``len(starts)`` native rows to completion in lockstep.
+        """Advance ``len(starts)`` rows to completion in lockstep.
 
-        Row ``i`` runs at job shape ``configs[shape_idx[i]]``: the
-        shape scalars (compute, checkpoint cost, restart cost,
-        deadline) become per-row float64 columns, and every expression
-        that read them stays elementwise — identical IEEE arithmetic to
-        the scalar broadcast wherever rows share a shape, per-row exact
-        everywhere else.
+        Row ``i`` runs ``policy`` over ``zones`` at bid ``bids[i]`` and
+        job shape ``configs[shape_idx[i]]``: the shape scalars (compute,
+        checkpoint cost, restart cost, deadline) become per-row float64
+        columns, and every expression that read them stays elementwise —
+        identical IEEE arithmetic to the scalar broadcast wherever rows
+        share a shape, per-row exact everywhere else.
+
+        The plan — bid, active-zone mask, policy kind, policy name and
+        zone tuple — is a set of columns too.  Without a
+        ``controller_factory`` it never changes.  With one, every row
+        gets its own controller from the factory (all sharing one
+        :class:`~repro.core.adaptive.SelectionMemo` via
+        :func:`~repro.core.adaptive.batch_controllers`), so one pass
+        serves rows whose controllers have diverged onto different
+        plans.  Decision epochs (rules 1–3 of
+        :meth:`AdaptiveController.decision_due`) are detected
+        column-wise; only triggered rows pay a Python
+        :meth:`AdaptiveController.decide_at_epoch` call against a
+        column-snapshot context carrying the row's own
+        :class:`~repro.app.workload.ExperimentConfig`, so the memo keys
+        its dense selections per shape.
         """
         oracle = self.oracle
         dt = float(SAMPLE_INTERVAL_S)
         n = len(starts)
+        zones = tuple(zones)
 
         # Zone geometry: state blocks are laid out in *oracle* zone
         # order (the scalar engine's ``instances`` dict order), while
         # market transitions walk the *given* zone order — both orders
-        # matter for bit-exact event streams and RNG draw sequences.
-        zset = set(zones)
-        zorder = tuple(z for z in oracle.zone_names if z in zset)
+        # matter for bit-exact event streams and RNG draw sequences.  A
+        # controller may switch onto any zone, so its batches lay out
+        # every oracle zone and activate them per row; it only picks
+        # oracle-order subsequences (itertools.combinations over
+        # oracle.zone_names), so block order is each row's active order.
+        if controller_factory is None:
+            zset = set(zones)
+            zorder = tuple(z for z in oracle.zone_names if z in zset)
+            torder = [zorder.index(z) for z in zones]
+        else:
+            zorder = tuple(oracle.zone_names)
+            torder = list(range(len(zorder)))
         Z = len(zorder)
-        gorder = [zorder.index(z) for z in zones]
+        zidx = {z: zi for zi, z in enumerate(zorder)}
         ztr = [oracle.trace.zone(z) for z in zorder]
         zprices = [zt.prices for zt in ztr]
         zz0 = [float(zt.start_time) for zt in ztr]
@@ -666,7 +585,6 @@ AdaptiveController` exactly (a subclass may override decision rules the
         ref_len = len(ref.prices)
 
         start_arr = np.asarray(starts, dtype=np.float64)
-        bid_arr = np.asarray(bids, dtype=np.float64)
         shape_arr = np.asarray(shape_idx, dtype=np.int64)
         dls = np.asarray(
             [cfg.deadline_s for cfg in configs], dtype=np.float64
@@ -689,43 +607,26 @@ AdaptiveController` exactly (a subclass may override decision rules the
             [cfg.restart_cost_s for cfg in configs], dtype=np.float64
         )[shape_arr]
 
-        # shared per-trace indices (memoized on the ZoneTrace), one
-        # crossing array per (zone, distinct bid) — the fused bid axis
-        # groups rows into bid classes for the quiescence bound
-        ubids, bclass = np.unique(bid_arr, return_inverse=True)
-        class_rows = [np.flatnonzero(bclass == b) for b in range(len(ubids))]
-        zcross = [
-            [zt.threshold_crossings(float(ub)) for ub in ubids] for zt in ztr
-        ]
-        zcross_ext = [
-            [np.concatenate([cr, [zlen[zi]]]) for cr in zcross[zi]]
-            for zi in range(Z)
-        ]
+        # the plan columns: per-row bid, active-zone mask, policy kind
+        # code (the kernels below run per kind over its rows only),
+        # policy name and active zone tuple
+        bid_arr = np.asarray(bids, dtype=np.float64)
+        zact = np.zeros((Z, n), dtype=bool)
+        zact[[zidx[z] for z in zones], :] = True
+        kind = type(policy).vector_kind
+        kcode = np.full(n, _KIND_CODE[kind], dtype=np.int8)
+        present = {_KIND_CODE[kind]}  # kind codes some row may carry
+        pol_name = [policy.name] * n
+        cur_zones: list[tuple[str, ...]] = [zones] * n
         # Large-bid: the control threshold L gates re-acquisition and
         # the hour-end release checkpoint; non-running zones flip on
         # crossings of min(bid, L) (start_price_threshold), and the
-        # fast-forward bound tracks crossings of L itself.
-        lb = kind == "large-bid"
-        L = float(probe.control_threshold) if lb else math.inf
-        if lb and math.isfinite(L):
-            zcross_s = [
-                [
-                    zt.threshold_crossings(float(min(float(ub), L)))
-                    for ub in ubids
-                ]
-                for zt in ztr
-            ]
-            zcross_s_ext = [
-                [np.concatenate([cr, [zlen[zi]]]) for cr in zcross_s[zi]]
-                for zi in range(Z)
-            ]
-            zcross_l = [zt.threshold_crossings(L) for zt in ztr]
-            zcross_l_ext = [
-                np.concatenate([zcross_l[zi], [zlen[zi]]]) for zi in range(Z)
-            ]
-        else:
-            zcross_s, zcross_s_ext = zcross, zcross_ext
-        if kind in ("edge", "threshold"):
+        # fast-forward bound tracks crossings of L itself.  Controllers
+        # never install Large-bid, so its rows are fixed per batch.
+        lbm = kcode == _LARGE_BID if kind == "large-bid" else None
+        L = float(policy.control_threshold) if lbm is not None else math.inf
+        lb_gate = lbm is not None and math.isfinite(L)
+        if present & {_EDGE, _THRESHOLD}:
             zedges = [zt.rising_edges() for zt in ztr]
             zedges_ext = [
                 np.concatenate([zedges[zi], [zlen[zi]]]) for zi in range(Z)
@@ -752,7 +653,7 @@ AdaptiveController` exactly (a subclass may override decision rules the
         zhours = np.zeros((Z, n), dtype=np.int64)
         zrest = np.zeros((Z, n), dtype=np.int64)
         zterm = np.zeros((Z, n), dtype=np.int64)
-        latch = np.full((Z, n), np.nan)  # periodic per-(zone, hour) latch
+        latch = np.full((Z, n), np.nan)  # per-(zone, hour) checkpoint latch
         committed = np.zeros(n)          # checkpoint store
         ncomm = np.zeros(n, dtype=np.int64)
         ckpt_flag = np.zeros(n, dtype=bool)  # checkpoint_just_committed
@@ -779,18 +680,67 @@ AdaptiveController` exactly (a subclass may override decision rules the
                     detail=details[j],
                 ))
 
-        zones_t = tuple(zones)
+        def close_hours(rows_m, at) -> None:
+            """user_close every running zone of the ``rows_m`` rows at
+            per-row times ``at``: bill and close each open hour."""
+            for zi in range(Z):
+                idx = np.flatnonzero(rows_m & (zst[zi] >= QUEUING))
+                if idx.size == 0:
+                    continue
+                used = at[idx] - hourst[zi][idx]
+                if np.any(used > 3600.0 + 1e-6):  # pragma: no cover
+                    raise EngineError(
+                        "open billing hour overran its boundary"
+                    )
+                charge = idx[used >= 1.0]  # < 1 s of a fresh hour free
+                zspot[zi][charge] += zrate[zi][charge]
+                zhours[zi][charge] += 1
+                hourst[zi][idx] = np.nan
+                zrate[zi][idx] = 0.0
+
+        def release(zi: int, i: int, at: float) -> None:
+            """user_release row ``i``'s zone block ``zi`` at ``at``:
+            bill and close its open hour and take the zone down."""
+            used = at - hourst[zi, i]
+            if used > 3600.0 + 1e-6:  # pragma: no cover
+                raise EngineError("open billing hour overran its boundary")
+            if used >= 1.0:  # < 1 s of a fresh hour free
+                zspot[zi, i] += zrate[zi, i]
+                zhours[zi, i] += 1
+            hourst[zi, i] = np.nan
+            zrate[zi, i] = 0.0
+            phase[zi, i] = 0.0
+            pendr[zi, i] = 0.0
+            zbase[zi, i] = 0.0
+            zcomp[zi, i] = 0.0
+            pendc[zi, i] = 0.0
+            csince[zi, i] = np.nan
+            zst[zi, i] = DOWN
+
+        # combined expected uptimes are memoized here: the oracle's
+        # level-conditioned models make the value a pure function of
+        # (zone set, stats bucket, per-zone price levels, bid), and
+        # staggered runs revisit the same key constantly
+        upt_cache: dict = {}
 
         def md_schedule(i: int) -> None:
             """MarkovDalyPolicy.schedule_next_checkpoint in Python
             floats — identical arithmetic, identical oracle queries —
-            against row ``i``'s own job shape."""
+            against row ``i``'s own job shape and current plan."""
             now = float(t[i])
+            zones_i = cur_zones[i]
+            key = (
+                zones_i, float(bid_arr[i]), oracle.stats_bucket(now),
+                tuple(oracle.price(z, now) for z in zones_i),
+            )
+            uptime = upt_cache.get(key)
+            if uptime is None:
+                uptime = float(
+                    oracle.combined_uptimes(zones_i, now, (key[1],))[0]
+                )
+                upt_cache[key] = uptime
             tc_i = float(tc[i])
             tr_i = float(tr[i])
-            uptime = float(
-                oracle.combined_uptimes(zones_t, now, (float(bid_arr[i]),))[0]
-            )
             interval = daly_interval(uptime, tc_i)
             remaining_compute = max(float(C[i]) - float(committed[i]), 0.0)
             margin = (
@@ -808,9 +758,94 @@ AdaptiveController` exactly (a subclass may override decision rules the
                 interval = max(margin, tc_i)
             md_next[i] = now + interval
 
-        if kind == "markov-daly":
-            for i in range(n):  # policy reset + schedule at t = start
-                md_schedule(i)
+        # price-crossing arrays are fetched lazily per (zone, threshold)
+        # — the distinct bids grow as controllers re-plan — and are
+        # memoized on the ZoneTrace, so repeats are shared across
+        # batches too
+        cross_cache: dict = {}
+
+        def crossings(zi: int, threshold: float):
+            """``(crossing indices, the same plus the trace length)``
+            of zone block ``zi`` at ``threshold``."""
+            got = cross_cache.get((zi, threshold))
+            if got is None:
+                cr = ztr[zi].threshold_crossings(threshold)
+                got = (cr, np.concatenate([cr, [zlen[zi]]]))
+                cross_cache[(zi, threshold)] = got
+            return got
+
+        def next_crossing(cross, idx):
+            return cross[1][np.searchsorted(cross[0], idx, side="right")]
+
+        def plan_views():
+            """What the round loop reads off the plan columns, rebuilt
+            only when a controller re-plans some row: each kind's row
+            mask; each zone's start threshold (eligible_to_start at the
+            bid, Large-bid at min(bid, L); -inf where the zone is
+            inactive, so it never starts); and, per zone, the fused bid
+            axis's classes among its active rows with their crossing
+            arrays (non-running Large-bid zones flip at min(bid, L))."""
+            kmasks = {k: kcode == k for k in present}
+            theta = bid_arr if lbm is None else np.where(
+                lbm, np.minimum(bid_arr, L), bid_arr
+            )
+            ubids, bclass = np.unique(bid_arr, return_inverse=True)
+            class_rows = [
+                np.flatnonzero(bclass == b) for b in range(len(ubids))
+            ]
+            classes = []
+            for zi in range(Z):
+                groups = []
+                for ub, rb in zip(ubids, class_rows):
+                    rb = rb[zact[zi, rb]]
+                    if rb.size:
+                        ub = float(ub)
+                        groups.append((
+                            rb, crossings(zi, ub),
+                            crossings(zi, min(ub, L)) if lb_gate else None,
+                        ))
+                classes.append(groups)
+            return kmasks, np.where(zact, theta, -np.inf), classes
+
+        km, zstart, zclasses = plan_views()
+
+        controllers = None
+        if controller_factory is not None:
+            from repro.core.adaptive import batch_controllers
+            from repro.core.policy import PolicyContext
+
+            controllers = batch_controllers(controller_factory, n)
+            last_eval = np.full(n, -np.inf)  # the rule-3 re-plan clock
+            reeval = float(controllers[0].reevaluate_every_s)
+            boot = PolicyContext(
+                now=0.0, bid=float(bid_arr[0]), zones=zones, oracle=oracle,
+                config=configs[0], run=None, instances={},
+            )
+            for c in controllers:
+                c.reset(boot)  # reads only the oracle's zone list
+
+            def make_ctx(i: int) -> PolicyContext:
+                insts = {}
+                for z in cur_zones[i]:
+                    zi = zidx[z]
+                    insts[z] = _ColInstance(
+                        is_running=bool(zst[zi, i] >= QUEUING),
+                        local_progress_s=float(zbase[zi, i] + zcomp[zi, i]),
+                        billing=_ColBilling(
+                            is_open=not math.isnan(hourst[zi, i]),
+                            hour_start=float(hourst[zi, i]),
+                        ),
+                    )
+                return PolicyContext(
+                    now=float(t[i]), bid=float(bid_arr[i]),
+                    zones=cur_zones[i], oracle=oracle,
+                    config=configs[int(shape_arr[i])],
+                    run=_ColRun(float(committed[i]), float(deadline[i])),
+                    instances=insts,
+                )
+
+        for i in np.flatnonzero(kcode == _MARKOV_DALY):
+            md_schedule(i)  # policy reset + schedule at t = start
 
         max_rounds = int(float(dls.max()) // dt) + 16
         for _round in range(max_rounds):
@@ -840,15 +875,17 @@ AdaptiveController` exactly (a subclass may override decision rules the
                         emit(idx, boundary, "hour-rolled", zorder[zi],
                              [f"rate={float(r):.3f}" for r in new_rate])
 
-            # market transitions (Algorithm 1 lines 2-8), in the given
-            # zone order like the scalar loop over ``active_zones``
+            # market transitions (Algorithm 1 lines 2-8), in the
+            # transition order like the scalar loop over ``active_zones``
             znow_i = [
                 np.clip(((t - zz0[zi]) // dt).astype(np.int64),
                         0, zlen[zi] - 1)
                 for zi in range(Z)
             ]
             znow_p = [zprices[zi][znow_i[zi]] for zi in range(Z)]
-            for zi in gorder:
+            for zi in torder:
+                if not zclasses[zi]:
+                    continue  # no row has this zone active
                 pz = znow_p[zi]
                 st = zst[zi]
                 run_z = alive & (st >= QUEUING)
@@ -865,15 +902,13 @@ AdaptiveController` exactly (a subclass may override decision rules the
                     csince[zi][ti] = np.nan
                     st[ti] = DOWN
                     zterm[zi][ti] += 1
-                    if lb:  # release_on_commit.discard(zone)
+                    if lbm is not None:  # release_on_commit.discard
                         rel_pending[ti] &= rel_zi[ti] != zi
                     if events is not None:
                         emit(ti, t[ti], "provider-terminated", zorder[zi],
                              [f"S={float(p):.3f}" for p in pz[ti]])
                 notrun = alive & ~run_z  # terminated zones wait a tick
-                start_ok = (
-                    (pz <= bid_arr) & (pz <= L) if lb else pz <= bid_arr
-                )  # eligible_to_start: Large-bid gates on L
+                start_ok = pz <= zstart[zi]
                 to_wait = notrun & start_ok & (st == DOWN)
                 if to_wait.any():
                     wi = np.flatnonzero(to_wait)
@@ -896,12 +931,12 @@ AdaptiveController` exactly (a subclass may override decision rules the
             has_comp = comp_mask.any(axis=0)
             any_ck = (zst == CHECKPOINTING).any(axis=0)
 
-            if lb:  # trust_speculative: count the leader's local work
+            guard_prog = committed
+            if lbm is not None:  # trust_speculative: count the leader's work
                 guard_prog = np.where(
-                    has_comp, np.maximum(committed, lead_local), committed
+                    has_comp & lbm, np.maximum(committed, lead_local),
+                    committed,
                 )
-            else:
-                guard_prog = committed
             trigger = (np.maximum(C - guard_prog, 0.0) + tc) + tr
             remaining_time = deadline - t
             margin = remaining_time - trigger
@@ -960,21 +995,7 @@ AdaptiveController` exactly (a subclass may override decision rules the
                     emit(mi, t[mi], "ondemand-switch", None,
                          [f"C_r={float(c):.0f}s T_r={float(r):.0f}s"
                           for c, r in zip(rem_comp[mi], remaining_time[mi])])
-                for zi in range(Z):  # user_close at t, reason="user"
-                    close = migrate & (zst[zi] >= QUEUING)
-                    idx = np.flatnonzero(close)
-                    if idx.size == 0:
-                        continue
-                    used = t[idx] - hourst[zi][idx]
-                    if np.any(used > 3600.0 + 1e-6):  # pragma: no cover
-                        raise EngineError(
-                            "open billing hour overran its boundary"
-                        )
-                    charge = idx[used >= 1.0]  # < 1 s of a fresh hour free
-                    zspot[zi][charge] += zrate[zi][charge]
-                    zhours[zi][charge] += 1
-                    hourst[zi][idx] = np.nan
-                    zrate[zi][idx] = 0.0
+                close_hours(migrate, t)  # user_close at t, reason="user"
                 zst[:, mi] = DOWN
                 finish[mi] = (t[mi] + overhead[mi]) + rem_comp[mi]
                 od_sec = restore + rem_comp
@@ -987,9 +1008,74 @@ AdaptiveController` exactly (a subclass may override decision rules the
                 completed_on[mi] = 2
                 alive &= ~migrate
 
-            # policy actions (lines 16-35)
-            if kind == "markov-daly":
-                for i in np.flatnonzero(alive & ckpt_flag):
+            # controller decisions (between the guard and policy
+            # actions, like the scalar tick).  Epoch triggers are the
+            # controller's rules 1-3, evaluated column-wise; only
+            # triggered rows pay a Python decide_at_epoch call.
+            if controllers is not None:
+                run_act = zact & (zst >= QUEUING)
+                at_bound = (run_act & (np.abs(hourst - t) < 1e-6)).any(axis=0)
+                trig = alive & (
+                    ~run_act.any(axis=0) | at_bound
+                    | ((t - last_eval) >= reeval)
+                )
+                replanned = False
+                for i in np.flatnonzero(trig):
+                    dec = controllers[i].decide_at_epoch(make_ctx(i))
+                    last_eval[i] = t[i]
+                    if dec is None:
+                        continue
+                    # _apply_switch, on columns
+                    new_zones = tuple(dec.zones)
+                    for z in new_zones:
+                        if z not in zidx:
+                            raise EngineError(
+                                f"controller chose unknown zone {z!r}"
+                            )
+                    for z in set(cur_zones[i]) - set(new_zones):
+                        zi_ = zidx[z]
+                        if zst[zi_, i] >= QUEUING:
+                            now = float(t[i])
+                            release(zi_, i, now)  # reason="user"
+                            if events is not None:
+                                events[i].append(Event(
+                                    time=now, kind="user-released",
+                                    zone=z, detail="config-switch",
+                                ))
+                        elif zst[zi_, i] == WAITING:
+                            zst[zi_, i] = DOWN
+                    bid_arr[i] = float(dec.bid)
+                    zact[:, i] = False
+                    for z in new_zones:
+                        zact[zidx[z], i] = True
+                    cur_zones[i] = new_zones
+                    replanned = True
+                    kname = dec.policy.name
+                    pol_name[i] = kname
+                    kcode[i] = _KIND_CODE[type(dec.policy).vector_kind]
+                    present.add(int(kcode[i]))
+                    latch[:, i] = np.nan  # the fresh policy's reset()
+                    if kcode[i] == _MARKOV_DALY:
+                        md_schedule(i)  # schedule on the new plan
+                    else:
+                        md_next[i] = np.nan
+                    if events is not None:
+                        events[i].append(Event(
+                            time=float(t[i]), kind="config-switch",
+                            zone=None,
+                            detail=(
+                                f"policy={kname} B={dec.bid:.2f} "
+                                f"N={len(new_zones)}"
+                            ),
+                        ))
+                if replanned:
+                    km, zstart, zclasses = plan_views()
+
+            # policy actions (lines 16-35): one decision kernel per
+            # installed kind, each over the rows of that kind
+            md_m = km.get(_MARKOV_DALY)
+            if md_m is not None:
+                for i in np.flatnonzero(alive & ckpt_flag & md_m):
                     md_schedule(i)  # line 23: re-arm after a commit
 
             comp_mask = zst == COMPUTING
@@ -1008,46 +1094,38 @@ AdaptiveController` exactly (a subclass may override decision rules the
             )
             start_ck = alive & has_leader & ~any_ck
             elig = start_ck & ~join_due  # checkpoint_due evaluated here
-            if kind == "periodic":
+            uncommitted = lead_local > committed + 1e-9
+            due = np.zeros(n, dtype=bool)
+            for k in (_PERIODIC, _LARGE_BID):
+                if k not in km:
+                    continue
+                # <= t_c left in the leader's open hour, hour not yet
+                # latched (one checkpoint per (zone, hour)); Large-bid
+                # also needs S > L on the leader
                 lhour = hourst[lead_zi, rows]
                 left = np.maximum((lhour + 3600.0) - t, 0.0)
-                due = elig & (left <= tc + 1e-6)
-                due &= latch[lead_zi, rows] != lhour  # NaN: never latched
-                due &= lead_local > committed + 1e-9
-                di = np.flatnonzero(due)
+                d = km[k] & elig & uncommitted & (left <= tc + 1e-6)
+                d &= latch[lead_zi, rows] != lhour  # NaN: never latched
+                if k == _LARGE_BID:
+                    d &= np.stack(znow_p, axis=0)[lead_zi, rows] > L
+                di = np.flatnonzero(d)
                 latch[lead_zi[di], di] = lhour[di]
-            elif kind == "large-bid":
-                # checkpoint_due: uncommitted progress, S > L on the
-                # leader, <= t_c left in its open hour, hour not yet
-                # latched (the latch reuses the periodic column: one
-                # release checkpoint per (zone, hour))
-                lhour = hourst[lead_zi, rows]
-                left = np.maximum((lhour + 3600.0) - t, 0.0)
-                pz_lead = np.stack(znow_p, axis=0)[lead_zi, rows]
-                due = elig & (lead_local > committed + 1e-9)
-                due &= pz_lead > L
-                due &= left <= tc + 1e-6
-                due &= latch[lead_zi, rows] != lhour  # NaN: never latched
-                di = np.flatnonzero(due)
-                latch[lead_zi[di], di] = lhour[di]
-            elif kind == "edge":
+                due |= d
+            if _EDGE in km:
                 rising_any = np.zeros(n, dtype=bool)
                 for zi in range(Z):
                     rising_any |= (zst[zi] == COMPUTING) & zrising[zi][
                         znow_i[zi]
                     ]
-                due = elig & (lead_local > committed + 1e-9) & rising_any
-            elif kind == "markov-daly":
-                timed = elig & (t + 1e-6 >= md_next)
-                noprog = timed & (lead_local <= committed + 1e-9)
+                due |= km[_EDGE] & elig & uncommitted & rising_any
+            if md_m is not None:
+                timed = md_m & elig & (t + 1e-6 >= md_next)
+                noprog = timed & ~uncommitted
                 for i in np.flatnonzero(noprog):
                     md_schedule(i)  # push instead of a no-progress commit
-                due = timed & ~noprog
-            elif kind == "threshold":
-                due = np.zeros(n, dtype=bool)
-                for i in np.flatnonzero(
-                    elig & (lead_local > committed + 1e-9)
-                ):
+                due |= timed & ~noprog
+            if _THRESHOLD in km:
+                for i in np.flatnonzero(km[_THRESHOLD] & elig & uncommitted):
                     now = float(t[i])
                     bid_i = float(bid_arr[i])
                     for zi in range(Z):
@@ -1070,8 +1148,6 @@ AdaptiveController` exactly (a subclass may override decision rules the
                         if time_thresh > 0 and exec_time > time_thresh:
                             due[i] = True
                             break
-            else:  # "never"
-                due = np.zeros(n, dtype=bool)
             fire = (start_ck & join_due) | due
             if fire.any():
                 fi = np.flatnonzero(fire)
@@ -1079,9 +1155,10 @@ AdaptiveController` exactly (a subclass may override decision rules the
                 pendc[lz, fi] = lead_local[fi]
                 zst[lz, fi] = CHECKPOINTING
                 phase[lz, fi] = tc[fi]
-                if lb:  # release_after_checkpoint is always True
-                    rel_pending[fi] = True
-                    rel_zi[fi] = lz
+                if lbm is not None:  # release_after_checkpoint is True
+                    rf = fi[lbm[fi]]
+                    rel_pending[rf] = True
+                    rel_zi[rf] = lead_zi[rf]
                 if events is not None:
                     for j, i in enumerate(fi):
                         events[i].append(Event(
@@ -1118,7 +1195,7 @@ AdaptiveController` exactly (a subclass may override decision rules the
                             zone=zorder[zi],
                             detail=f"from-{source}-ckpt P={com:.0f}s",
                         ))
-                if kind == "markov-daly":
+                if kcode[i] == _MARKOV_DALY:
                     md_schedule(i)  # one reschedule after the restarts
             ckpt_flag &= ~alive  # cleared every tick by _policy_actions
 
@@ -1197,31 +1274,15 @@ AdaptiveController` exactly (a subclass may override decision rules the
                             zone=zorder[commit_zi[i]],
                             detail=f"P={commit_val[i]:.0f}s",
                         ))
-                if lb and rel_pending[ci].any():
-                    # Large-bid's manual termination: user_release the
-                    # zone whose checkpoint just committed, at t + dt
-                    # (the zone computed the tick's remainder first,
-                    # exactly like the scalar advance loop)
+                # Large-bid's manual termination: user_release the zone
+                # whose checkpoint just committed, at t + dt (the zone
+                # computed the tick's remainder first, exactly like the
+                # scalar advance loop)
+                if lbm is not None:
                     for i in ci[rel_pending[ci]]:
                         zi_ = int(commit_zi[i])
                         end = float(t[i] + dt)
-                        used = end - hourst[zi_, i]
-                        if used > 3600.0 + 1e-6:  # pragma: no cover
-                            raise EngineError(
-                                "open billing hour overran its boundary"
-                            )
-                        if used >= 1.0:  # < 1 s of a fresh hour free
-                            zspot[zi_, i] += zrate[zi_, i]
-                            zhours[zi_, i] += 1
-                        hourst[zi_, i] = np.nan
-                        zrate[zi_, i] = 0.0
-                        phase[zi_, i] = 0.0
-                        pendr[zi_, i] = 0.0
-                        zbase[zi_, i] = 0.0
-                        zcomp[zi_, i] = 0.0
-                        pendc[zi_, i] = 0.0
-                        csince[zi_, i] = np.nan
-                        zst[zi_, i] = DOWN
+                        release(zi_, i, end)
                         rel_pending[i] = False
                         if events is not None:
                             events[i].append(Event(
@@ -1233,21 +1294,7 @@ AdaptiveController` exactly (a subclass may override decision rules the
             done_r = alive & ~np.isnan(fin)
             if done_r.any():
                 di = np.flatnonzero(done_r)
-                for zi in range(Z):  # user_close at finish, "complete"
-                    close = done_r & (zst[zi] >= QUEUING)
-                    idx = np.flatnonzero(close)
-                    if idx.size == 0:
-                        continue
-                    used = fin[idx] - hourst[zi][idx]
-                    if np.any(used > 3600.0 + 1e-6):  # pragma: no cover
-                        raise EngineError(
-                            "open billing hour overran its boundary"
-                        )
-                    charge = idx[used >= 1.0]  # < 1 s of a fresh hour free
-                    zspot[zi][charge] += zrate[zi][charge]
-                    zhours[zi][charge] += 1
-                    hourst[zi][idx] = np.nan
-                    zrate[zi][idx] = 0.0
+                close_hours(done_r, fin)  # user_close at finish, "complete"
                 zst[:, di] = DOWN
                 if events is not None:
                     emit(di, fin[di], "completed", None,
@@ -1267,12 +1314,13 @@ AdaptiveController` exactly (a subclass may override decision rules the
             running_cnt = (comp_mask | trans_mask).sum(axis=0)
 
             zero = ck_any.copy()  # a checkpoint commits next tick
-            if kind == "markov-daly":  # rescheduling is not a no-op
-                zero |= ckpt_flag
-                dropc = np.zeros(n, dtype=bool)
-            else:
-                zero |= ckpt_flag & waiting_any
-                dropc = ckpt_flag & ~waiting_any
+            # after a commit: Markov-Daly's reschedule is not a no-op,
+            # and waiting zones restart; otherwise the tick's only
+            # effect would be dropping the flag (done on the way into
+            # the skip)
+            hold = waiting_any if md_m is None else (waiting_any | md_m)
+            zero |= ckpt_flag & hold
+            dropc = ckpt_flag & ~hold
             zero |= (running_cnt == 0) & waiting_any  # restarts fire now
 
             # market transitions: next availability crossing, using the
@@ -1282,30 +1330,25 @@ AdaptiveController` exactly (a subclass may override decision rules the
             )
             kq = np.full(n, float(1 << 30))
             loc = zbase + zcomp
-            theta_dn = np.minimum(bid_arr, L) if lb else bid_arr
             for zi in range(Z):
+                if not zclasses[zi]:
+                    continue  # no row has this zone active
                 pz = zprices[zi][np.minimum(i2, zlen[zi] - 1)]
                 run_z = comp_mask[zi] | trans_mask[zi]
                 zero |= run_z & (pz > bid_arr)  # termination due
                 off = alive & ~run_z & (zst[zi] != CHECKPOINTING)
-                # a non-running zone flips at min(bid, start threshold)
-                zero |= off & ((pz <= theta_dn) != wait_mask[zi])
+                # a non-running zone flips at its start threshold
+                zero |= off & ((pz <= zstart[zi]) != wait_mask[zi])
                 nonrun = ~(zst[zi] >= QUEUING)
-                for bi, rows_b in enumerate(class_rows):
-                    nc = zcross_ext[zi][bi][
-                        np.searchsorted(
-                            zcross[zi][bi], i2[rows_b], side="right"
+                for rb, cross, start_cross in zclasses[zi]:
+                    nc = next_crossing(cross, i2[rb])
+                    if start_cross is not None:
+                        nc = np.where(
+                            nonrun[rb] & lbm[rb],
+                            next_crossing(start_cross, i2[rb]), nc,
                         )
-                    ]
-                    if zcross_s is not zcross:
-                        nc_s = zcross_s_ext[zi][bi][
-                            np.searchsorted(
-                                zcross_s[zi][bi], i2[rows_b], side="right"
-                            )
-                        ]
-                        nc = np.where(nonrun[rows_b], nc_s, nc)
-                    kq[rows_b] = np.minimum(
-                        kq[rows_b], (nc - i2[rows_b]).astype(np.float64)
+                    kq[rb] = np.minimum(
+                        kq[rb], (nc - i2[rb]).astype(np.float64)
                     )
                 # queue / restore countdowns: stop before one runs out
                 nstep = np.floor_divide(phase[zi] - 1e-6, dt)
@@ -1314,12 +1357,12 @@ AdaptiveController` exactly (a subclass may override decision rules the
 
             # deadline guard: margin shrinks at most one tick per tick
             max_local = np.where(comp_mask, loc, -np.inf).max(axis=0)
-            if lb:  # trust_speculative, as in the scalar quiescence scan
+            guard_q = committed
+            if lbm is not None:  # trust_speculative, as in the scalar scan
                 guard_q = np.where(
-                    computing_any, np.maximum(committed, max_local), committed
+                    computing_any & lbm, np.maximum(committed, max_local),
+                    committed,
                 )
-            else:
-                guard_q = committed
             marginq = (
                 (((deadline - t) - np.maximum(C - guard_q, 0.0)) - tc)
                 - tr
@@ -1343,10 +1386,11 @@ AdaptiveController` exactly (a subclass may override decision rules the
                 kq,
             )
 
-            # the policy's own schedule (fast_forward_until), evaluated
-            # only where something is computing, like the scalar path
+            # each kind's own schedule (fast_forward_until) over its
+            # rows, applied only where something is computing, like the
+            # scalar path
             horizon = np.full(n, np.inf)
-            if kind == "periodic":
+            if _PERIODIC in km:
                 due_at = np.where(
                     comp_mask & ~np.isnan(hourst),
                     np.where(
@@ -1356,40 +1400,35 @@ AdaptiveController` exactly (a subclass may override decision rules the
                     ),
                     np.inf,
                 )
-                horizon = due_at.min(axis=0)
-            elif kind == "large-bid":
-                # fast_forward_until: per computing zone, the later of
-                # "S first exceeds L" and "<= t_c left in the hour";
-                # a latched hour cannot re-fire before it rolls.
-                # Naive (L = inf) never checkpoints: horizon stays inf.
-                if math.isfinite(L):
-                    for zi in range(Z):
-                        cm = comp_mask[zi] & ~np.isnan(hourst[zi])
-                        if not cm.any():
-                            continue
-                        hour_end = np.where(cm, hourst[zi] + 3600.0, np.inf)
-                        iz = np.clip(
-                            ((t - zz0[zi]) // dt).astype(np.int64),
-                            0, zlen[zi] - 1,
-                        )
-                        nxt = zcross_l_ext[zi][
-                            np.searchsorted(zcross_l[zi], iz, side="right")
-                        ]
-                        over_at = np.where(
-                            zprices[zi][iz] > L, t, zz0[zi] + nxt * dt
-                        )
-                        cand = np.where(
-                            latch[zi] == hourst[zi],
-                            hour_end,
-                            np.maximum(over_at, hour_end - tc),
-                        )
-                        horizon = np.where(
-                            cm, np.minimum(horizon, cand), horizon
-                        )
-            elif kind == "edge":
+                horizon = np.where(km[_PERIODIC], due_at.min(axis=0), horizon)
+            if lb_gate:
+                # per computing zone, the later of "S first exceeds L"
+                # and "<= t_c left in the hour"; a latched hour cannot
+                # re-fire before it rolls.  Naive (L = inf) never
+                # checkpoints: its horizon stays inf.
+                for zi in range(Z):
+                    cm = comp_mask[zi] & ~np.isnan(hourst[zi]) & lbm
+                    if not cm.any():
+                        continue
+                    hour_end = np.where(cm, hourst[zi] + 3600.0, np.inf)
+                    iz = np.clip(
+                        ((t - zz0[zi]) // dt).astype(np.int64),
+                        0, zlen[zi] - 1,
+                    )
+                    over_at = np.where(
+                        zprices[zi][iz] > L, t,
+                        zz0[zi] + next_crossing(crossings(zi, L), iz) * dt,
+                    )
+                    cand = np.where(
+                        latch[zi] == hourst[zi],
+                        hour_end,
+                        np.maximum(over_at, hour_end - tc),
+                    )
+                    horizon = np.where(cm, np.minimum(horizon, cand), horizon)
+            if _EDGE in km:
                 now_edge = np.zeros(n, dtype=bool)
                 for zi in range(Z):
-                    cm = comp_mask[zi]
+                    cm = comp_mask[zi] & km[_EDGE]
                     iz = np.clip(
                         ((t - zz0[zi]) // dt).astype(np.int64),
                         0, zlen[zi] - 1,
@@ -1399,15 +1438,14 @@ AdaptiveController` exactly (a subclass may override decision rules the
                         np.searchsorted(zedges[zi], iz, side="right")
                     ]
                     cand = zz0[zi] + nxt * dt
-                    horizon = np.where(
-                        cm, np.minimum(horizon, cand), horizon
-                    )
+                    horizon = np.where(cm, np.minimum(horizon, cand), horizon)
                 horizon = np.where(now_edge, t, horizon)
-            elif kind == "markov-daly":
-                horizon = md_next - 1e-6
-            elif kind == "threshold":
+            if md_m is not None:
+                horizon = np.where(md_m, md_next - 1e-6, horizon)
+            if _THRESHOLD in km:
                 for i in np.flatnonzero(
-                    alive & ~zero & computing_any & (kq > 0.0)
+                    km[_THRESHOLD] & alive & ~zero & computing_any
+                    & (kq > 0.0)
                 ):
                     now = float(t[i])
                     if max_local[i] <= committed[i] + 1e-9:
@@ -1474,10 +1512,26 @@ AdaptiveController` exactly (a subclass may override decision rules the
                 kq,
             )
 
+            # controller hazards: with nothing running the controller
+            # evaluates every tick (rule 1); before the first decision
+            # next_decision_time is None (no skip at all); afterwards
+            # the rule-3 timer bounds, and every computing/transient
+            # zone's hour boundary is a rule-2 decision point
+            if controllers is not None:
+                zero |= running_cnt == 0
+                zero |= np.isinf(last_eval)
+                kq = np.minimum(
+                    kq, np.ceil((((last_eval + reeval) - t) - 1e-6) / dt)
+                )
+                for zi in range(Z):
+                    m = comp_mask[zi] | trans_mask[zi]
+                    if not m.any():
+                        continue
+                    steps = np.round(((hourst[zi] + 3600.0) - t) / dt)
+                    kq = np.where(m, np.minimum(kq, steps), kq)
+
             ks = np.where(alive & ~zero, kq, 0.0)
             ki = np.maximum(ks, 0.0).astype(np.int64)
-            # the post-commit tick's only remaining effect would be
-            # dropping the flag: do it on the way into the skip
             ckpt_flag &= ~(dropc & (ki > 0))
             skip = alive & (ki > 0)
             if not skip.any():
@@ -1595,874 +1649,6 @@ AdaptiveController` exactly (a subclass may override decision rules the
             )
 
         # -- finalize: per-run RunResults in scalar summation order ------
-        spot_tot = np.zeros(n)
-        for zi in range(Z):
-            spot_tot = spot_tot + zspot[zi]
-        hours_tot = zhours.sum(axis=0)
-        rest_tot = zrest.sum(axis=0)
-        term_tot = zterm.sum(axis=0)
-        results: list[RunResult] = []
-        for j in range(n):
-            results.append(RunResult(
-                policy_name=probe.name,
-                bid=float(bids[j]),
-                zones=zones_t,
-                start_time=float(start_arr[j]),
-                finish_time=float(finish[j]),
-                deadline=float(deadline[j]),
-                completed_on="spot" if completed_on[j] == 1 else "ondemand",
-                spot_cost=float(spot_tot[j]),
-                ondemand_cost=float(od_cost[j]),
-                num_checkpoints=int(ncomm[j]),
-                num_restarts=int(rest_tot[j]),
-                num_provider_terminations=int(term_tot[j]),
-                ondemand_switch_time=(
-                    None if math.isnan(switch_t[j]) else float(switch_t[j])
-                ),
-                spot_hours_charged=int(hours_tot[j]),
-                events=tuple(events[j]) if events is not None else (),
-            ))
-        return results, draws
-
-    # -- the Adaptive lockstep core ----------------------------------------
-
-    def _simulate_adaptive_rows(
-        self, configs, controller_factory, probe, shape_idx, starts, rngs
-    ) -> tuple[list[RunResult], np.ndarray]:
-        """Advance ``len(starts)`` Adaptive-controller runs in lockstep.
-
-        Row ``i`` runs at job shape ``configs[shape_idx[i]]`` — the
-        shape scalars become per-row columns exactly as in
-        :meth:`_simulate_rows`, and each row's decision contexts carry
-        its own :class:`ExperimentConfig`, so the shared
-        :class:`~repro.core.adaptive.SelectionMemo` keys its dense
-        selections (which fingerprint the config) per shape.
-
-        Controller state rides in columns: every run carries its own
-        bid, active-zone mask, policy kind ("periodic" or
-        "markov-daly"), decision latches and re-evaluation clock, so
-        one pass serves runs whose controllers have diverged onto
-        different plans.  Decision epochs (rules 1–3 of
-        :meth:`AdaptiveController.decision_due`) are detected
-        column-wise; only triggered rows pay a Python
-        :meth:`AdaptiveController.decide_at_epoch` call against a
-        column-snapshot context, and all the batch's controllers share
-        one :class:`~repro.core.adaptive.SelectionMemo` (via
-        :func:`~repro.core.adaptive.batch_controllers`) so the dense
-        candidate selection runs once per (bucket matrices, progress,
-        deadline clock) signature and fans out.
-        """
-        from repro.core.adaptive import batch_controllers
-        from repro.core.policy import PolicyContext
-
-        oracle = self.oracle
-        dt = float(SAMPLE_INTERVAL_S)
-        n = len(starts)
-
-        # Zone geometry: the scalar engine creates an instance for
-        # *every* oracle zone up front (the controller may switch onto
-        # any of them), so the block layout covers the full trace.
-        zorder = tuple(oracle.zone_names)
-        Z = len(zorder)
-        zidx = {z: zi for zi, z in enumerate(zorder)}
-        ztr = [oracle.trace.zone(z) for z in zorder]
-        zprices = [zt.prices for zt in ztr]
-        zz0 = [float(zt.start_time) for zt in ztr]
-        zlen = [len(zt.prices) for zt in ztr]
-        # all zone traces share one grid (the scalar quiescence scan
-        # indexes every zone with its first active zone's index)
-        ref_z0 = zz0[0]
-        ref_len = zlen[0]
-
-        start_arr = np.asarray(starts, dtype=np.float64)
-        shape_arr = np.asarray(shape_idx, dtype=np.int64)
-        dls = np.asarray(
-            [cfg.deadline_s for cfg in configs], dtype=np.float64
-        )
-        deadline = start_arr + dls[shape_arr]
-        end_time = float(oracle.trace.end_time)
-        if np.any(deadline > end_time):
-            bad = float(deadline[deadline > end_time][0])
-            raise EngineError(
-                f"trace ends at {end_time}, before the deadline {bad}"
-            )
-        C = np.asarray(
-            [cfg.compute_s for cfg in configs], dtype=np.float64
-        )[shape_arr]
-        tc = np.asarray(
-            [cfg.ckpt_cost_s for cfg in configs], dtype=np.float64
-        )[shape_arr]
-        tr = np.asarray(
-            [cfg.restart_cost_s for cfg in configs], dtype=np.float64
-        )[shape_arr]
-
-        # struct-of-arrays run state (as in _simulate_rows) ...
-        t = start_arr.copy()
-        alive = np.ones(n, dtype=bool)
-        zst = np.full((Z, n), DOWN, dtype=np.int8)
-        phase = np.zeros((Z, n))
-        pendr = np.zeros((Z, n))
-        zbase = np.zeros((Z, n))
-        zcomp = np.zeros((Z, n))
-        pendc = np.zeros((Z, n))
-        csince = np.full((Z, n), np.nan)
-        hourst = np.full((Z, n), np.nan)
-        zrate = np.zeros((Z, n))
-        zspot = np.zeros((Z, n))
-        zhours = np.zeros((Z, n), dtype=np.int64)
-        zrest = np.zeros((Z, n), dtype=np.int64)
-        zterm = np.zeros((Z, n), dtype=np.int64)
-        latch = np.full((Z, n), np.nan)
-        committed = np.zeros(n)
-        ncomm = np.zeros(n, dtype=np.int64)
-        ckpt_flag = np.zeros(n, dtype=bool)
-        finish = np.full(n, np.nan)
-        od_cost = np.zeros(n)
-        switch_t = np.full(n, np.nan)
-        completed_on = np.zeros(n, dtype=np.int8)
-        draws = np.zeros(n, dtype=np.int64)
-        md_next = np.full(n, np.nan)
-        rows = np.arange(n)
-        events: list[list[Event]] | None = (
-            [[] for _ in range(n)] if self.record_events else None
-        )
-
-        # ... plus the controller's plan as columns: per-run bid, the
-        # active-zone mask, the installed policy kind and its name, the
-        # active zone tuple (for contexts / oracle queries / results)
-        # and the rule-3 re-evaluation clock
-        init_zones = tuple(zorder[:1])
-        init_bid = float(probe.bids[0])
-        bid_arr = np.full(n, init_bid)
-        zact = np.zeros((Z, n), dtype=bool)
-        zact[0, :] = True
-        kindcol = np.zeros(n, dtype=np.int8)  # 0 periodic, 1 markov-daly
-        pol_name = ["periodic"] * n
-        cur_zones: list[tuple[str, ...]] = [init_zones] * n
-        last_eval = np.full(n, -np.inf)
-        reeval = float(probe.reevaluate_every_s)
-
-        controllers = batch_controllers(controller_factory, n)
-        boot = PolicyContext(
-            now=0.0, bid=init_bid, zones=init_zones, oracle=oracle,
-            config=configs[0], run=None, instances={},
-        )
-        for c in controllers:
-            c.reset(boot)  # reads only the oracle's zone list
-
-        def emit(idx_arr, times, ekind, ezone, details):
-            for j, i in enumerate(idx_arr):
-                events[i].append(Event(
-                    time=float(times[j]), kind=ekind, zone=ezone,
-                    detail=details[j],
-                ))
-
-        def make_ctx(i: int) -> PolicyContext:
-            insts = {}
-            for z in cur_zones[i]:
-                zi = zidx[z]
-                insts[z] = _ColInstance(
-                    is_running=bool(zst[zi, i] >= QUEUING),
-                    local_progress_s=float(zbase[zi, i] + zcomp[zi, i]),
-                    billing=_ColBilling(
-                        is_open=not math.isnan(hourst[zi, i]),
-                        hour_start=float(hourst[zi, i]),
-                    ),
-                )
-            return PolicyContext(
-                now=float(t[i]), bid=float(bid_arr[i]),
-                zones=cur_zones[i], oracle=oracle,
-                config=configs[int(shape_arr[i])],
-                run=_ColRun(float(committed[i]), float(deadline[i])),
-                instances=insts,
-            )
-
-        # combined expected uptimes are memoized here: the oracle's
-        # level-conditioned models make the value a pure function of
-        # (zone set, stats bucket, per-zone price levels, bid), and
-        # staggered runs revisit the same key constantly
-        upt_cache: dict = {}
-
-        def md_schedule(i: int) -> None:
-            """MarkovDalyPolicy.schedule_next_checkpoint against run
-            ``i``'s *current* plan (its own zone set and bid)."""
-            now = float(t[i])
-            zones_i = cur_zones[i]
-            key = (
-                zones_i, float(bid_arr[i]), oracle.stats_bucket(now),
-                tuple(oracle.price(z, now) for z in zones_i),
-            )
-            uptime = upt_cache.get(key)
-            if uptime is None:
-                uptime = float(
-                    oracle.combined_uptimes(
-                        zones_i, now, (key[1],)
-                    )[0]
-                )
-                upt_cache[key] = uptime
-            tc_i = float(tc[i])
-            tr_i = float(tr[i])
-            interval = daly_interval(uptime, tc_i)
-            remaining_compute = max(float(C[i]) - float(committed[i]), 0.0)
-            margin = (
-                max(float(deadline[i]) - now, 0.0)
-                - remaining_compute
-                - tc_i
-                - tr_i
-            )
-            reserve = tc_i + 4.0 * 300.0
-            budget = margin - reserve
-            if budget > 0:
-                interval = max(interval, remaining_compute * tc_i / budget)
-                interval = min(interval, max(budget, tc_i))
-            else:
-                interval = max(margin, tc_i)
-            md_next[i] = now + interval
-
-        # crossing arrays are fetched lazily: the set of distinct bids
-        # grows as controllers re-plan (memoized on the ZoneTrace, so
-        # repeats are shared across batches too)
-        cross_cache: dict = {}
-
-        def crossings(zi: int, b: float):
-            got = cross_cache.get((zi, b))
-            if got is None:
-                cr = ztr[zi].threshold_crossings(b)
-                got = (cr, np.concatenate([cr, [zlen[zi]]]))
-                cross_cache[(zi, b)] = got
-            return got
-
-        max_rounds = int(float(dls.max()) // dt) + 16
-        for _round in range(max_rounds):
-            if not alive.any():
-                break
-
-            # billing rolls, as in _simulate_rows
-            for zi in range(Z):
-                while True:
-                    m = alive & (hourst[zi] + 3600.0 <= t + 1e-6)
-                    if not m.any():
-                        break
-                    idx = np.flatnonzero(m)
-                    boundary = hourst[zi][idx] + 3600.0
-                    zspot[zi][idx] += zrate[zi][idx]
-                    zhours[zi][idx] += 1
-                    new_rate = zprices[zi][
-                        ((boundary - zz0[zi]) // dt).astype(np.int64)
-                    ]
-                    zrate[zi][idx] = new_rate
-                    hourst[zi][idx] = boundary
-                    if events is not None:
-                        emit(idx, boundary, "hour-rolled", zorder[zi],
-                             [f"rate={float(r):.3f}" for r in new_rate])
-
-            # market transitions walk each run's *own* active set; the
-            # controller only ever picks oracle-order zone subsequences
-            # (itertools.combinations over oracle.zone_names), so block
-            # order is every run's active order
-            znow_i = [
-                np.clip(((t - zz0[zi]) // dt).astype(np.int64),
-                        0, zlen[zi] - 1)
-                for zi in range(Z)
-            ]
-            znow_p = [zprices[zi][znow_i[zi]] for zi in range(Z)]
-            for zi in range(Z):
-                a = alive & zact[zi]
-                if not a.any():
-                    continue
-                pz = znow_p[zi]
-                st = zst[zi]
-                run_z = a & (st >= QUEUING)
-                term = run_z & (pz > bid_arr)
-                if term.any():
-                    ti = np.flatnonzero(term)
-                    hourst[zi][ti] = np.nan
-                    zrate[zi][ti] = 0.0
-                    phase[zi][ti] = 0.0
-                    pendr[zi][ti] = 0.0
-                    zbase[zi][ti] = 0.0
-                    zcomp[zi][ti] = 0.0
-                    pendc[zi][ti] = 0.0
-                    csince[zi][ti] = np.nan
-                    st[ti] = DOWN
-                    zterm[zi][ti] += 1
-                    if events is not None:
-                        emit(ti, t[ti], "provider-terminated", zorder[zi],
-                             [f"S={float(p):.3f}" for p in pz[ti]])
-                notrun = a & ~run_z
-                to_wait = notrun & (pz <= bid_arr) & (st == DOWN)
-                if to_wait.any():
-                    wi = np.flatnonzero(to_wait)
-                    st[wi] = WAITING
-                    if events is not None:
-                        emit(wi, t[wi], "waiting", zorder[zi],
-                             [f"S={float(p):.3f}" for p in pz[wi]])
-                to_down = notrun & (pz > bid_arr) & (st == WAITING)
-                st[to_down] = DOWN
-
-            # deadline guard — identical to _simulate_rows (neither
-            # installable policy trusts speculative progress)
-            loc = zbase + zcomp
-            comp_mask = zst == COMPUTING
-            loc_masked = np.where(comp_mask, loc, -np.inf)
-            lead_zi = np.argmax(loc_masked, axis=0)
-            lead_local = loc_masked[lead_zi, rows]
-            has_comp = comp_mask.any(axis=0)
-            any_ck = (zst == CHECKPOINTING).any(axis=0)
-
-            trigger = (np.maximum(C - committed, 0.0) + tc) + tr
-            remaining_time = deadline - t
-            margin = remaining_time - trigger
-            safe = margin > dt + 1e-6
-            force = (
-                alive & safe & (margin <= tc + 3.0 * dt)
-                & ~any_ck & has_comp & (lead_local > committed + 1e-9)
-            )
-            if force.any():
-                fi = np.flatnonzero(force)
-                lz = lead_zi[fi]
-                pendc[lz, fi] = lead_local[fi]
-                zst[lz, fi] = CHECKPOINTING
-                phase[lz, fi] = tc[fi]
-                if events is not None:
-                    for j, i in enumerate(fi):
-                        events[i].append(Event(
-                            time=float(t[i]), kind="checkpoint-started",
-                            zone=zorder[lz[j]],
-                            detail=f"forced P={lead_local[i]:.0f}s",
-                        ))
-            migrate = alive & ~safe
-            if migrate.any():
-                best_prog = committed.copy()
-                best_pre = np.zeros(n)
-                best_key = np.maximum(C - committed, 0.0) + np.where(
-                    committed > 0, tr, 0.0
-                )
-                for zi in range(Z):
-                    key2 = (np.maximum(C - loc[zi], 0.0) + tc) + np.where(
-                        loc[zi] > 0, tr, 0.0
-                    )
-                    use2 = migrate & (zst[zi] == COMPUTING) & (
-                        key2 < best_key
-                    )
-                    best_prog[use2] = loc[zi][use2]
-                    best_pre[use2] = tc[use2]
-                    best_key[use2] = key2[use2]
-                    key3 = (
-                        np.maximum(C - pendc[zi], 0.0) + phase[zi]
-                    ) + np.where(pendc[zi] > 0, tr, 0.0)
-                    use3 = migrate & (zst[zi] == CHECKPOINTING) & (
-                        key3 < best_key
-                    )
-                    best_prog[use3] = pendc[zi][use3]
-                    best_pre[use3] = phase[zi][use3]
-                    best_key[use3] = key3[use3]
-                restore = np.where(best_prog > 0, tr, 0.0)
-                overhead = best_pre + restore
-                rem_comp = np.maximum(C - best_prog, 0.0)
-                mi = np.flatnonzero(migrate)
-                if events is not None:
-                    emit(mi, t[mi], "ondemand-switch", None,
-                         [f"C_r={float(c):.0f}s T_r={float(r):.0f}s"
-                          for c, r in zip(rem_comp[mi], remaining_time[mi])])
-                for zi in range(Z):
-                    close = migrate & (zst[zi] >= QUEUING)
-                    idx = np.flatnonzero(close)
-                    if idx.size == 0:
-                        continue
-                    used = t[idx] - hourst[zi][idx]
-                    if np.any(used > 3600.0 + 1e-6):  # pragma: no cover
-                        raise EngineError(
-                            "open billing hour overran its boundary"
-                        )
-                    charge = idx[used >= 1.0]
-                    zspot[zi][charge] += zrate[zi][charge]
-                    zhours[zi][charge] += 1
-                    hourst[zi][idx] = np.nan
-                    zrate[zi][idx] = 0.0
-                zst[:, mi] = DOWN
-                finish[mi] = (t[mi] + overhead[mi]) + rem_comp[mi]
-                od_sec = restore + rem_comp
-                od_cost[mi] = np.where(
-                    od_sec[mi] > 0,
-                    np.ceil(od_sec[mi] / 3600.0) * ON_DEMAND_PRICE,
-                    0.0,
-                )
-                switch_t[mi] = t[mi]
-                completed_on[mi] = 2
-                alive &= ~migrate
-
-            # controller decisions (between the guard and policy
-            # actions, like the scalar tick).  Epoch triggers are the
-            # controller's rules 1-3, evaluated column-wise; only
-            # triggered rows pay a Python decide_at_epoch call.
-            run_act = zact & (zst >= QUEUING)
-            at_bound = (run_act & (np.abs(hourst - t) < 1e-6)).any(axis=0)
-            trig = alive & (
-                ~run_act.any(axis=0) | at_bound
-                | ((t - last_eval) >= reeval)
-            )
-            for i in np.flatnonzero(trig):
-                dec = controllers[i].decide_at_epoch(make_ctx(i))
-                last_eval[i] = t[i]
-                if dec is None:
-                    continue
-                # _apply_switch, on columns
-                new_zones = tuple(dec.zones)
-                for z in new_zones:
-                    if z not in zidx:
-                        raise EngineError(
-                            f"controller chose unknown zone {z!r}"
-                        )
-                for z in set(cur_zones[i]) - set(new_zones):
-                    zi_ = zidx[z]
-                    if zst[zi_, i] >= QUEUING:
-                        # user_release at t, reason="user"
-                        now = float(t[i])
-                        used = now - hourst[zi_, i]
-                        if used > 3600.0 + 1e-6:  # pragma: no cover
-                            raise EngineError(
-                                "open billing hour overran its boundary"
-                            )
-                        if used >= 1.0:  # < 1 s of a fresh hour free
-                            zspot[zi_, i] += zrate[zi_, i]
-                            zhours[zi_, i] += 1
-                        hourst[zi_, i] = np.nan
-                        zrate[zi_, i] = 0.0
-                        phase[zi_, i] = 0.0
-                        pendr[zi_, i] = 0.0
-                        zbase[zi_, i] = 0.0
-                        zcomp[zi_, i] = 0.0
-                        pendc[zi_, i] = 0.0
-                        csince[zi_, i] = np.nan
-                        zst[zi_, i] = DOWN
-                        if events is not None:
-                            events[i].append(Event(
-                                time=now, kind="user-released",
-                                zone=z, detail="config-switch",
-                            ))
-                    elif zst[zi_, i] == WAITING:
-                        zst[zi_, i] = DOWN
-                bid_arr[i] = float(dec.bid)
-                zact[:, i] = False
-                for z in new_zones:
-                    zact[zidx[z], i] = True
-                cur_zones[i] = new_zones
-                kname = dec.policy.name
-                pol_name[i] = kname
-                kindcol[i] = 1 if kname == "markov-daly" else 0
-                latch[:, i] = np.nan  # the fresh policy's reset()
-                if kindcol[i] == 1:
-                    md_schedule(i)  # schedule on the new plan
-                else:
-                    md_next[i] = np.nan
-                if events is not None:
-                    events[i].append(Event(
-                        time=float(t[i]), kind="config-switch", zone=None,
-                        detail=(
-                            f"policy={kname} B={dec.bid:.2f} "
-                            f"N={len(new_zones)}"
-                        ),
-                    ))
-
-            # policy actions, dispatched per run on the installed kind
-            md_m = kindcol == 1
-            per_m = ~md_m
-            for i in np.flatnonzero(alive & ckpt_flag & md_m):
-                md_schedule(i)  # line 23: re-arm after a commit
-
-            comp_mask = zst == COMPUTING
-            loc = zbase + zcomp
-            loc_masked = np.where(comp_mask, loc, -np.inf)
-            lead_zi = np.argmax(loc_masked, axis=0)
-            lead_local = loc_masked[lead_zi, rows]
-            has_leader = comp_mask.any(axis=0)
-            any_ck = (zst == CHECKPOINTING).any(axis=0)
-            wait_mask = zst == WAITING
-            waiting_any = wait_mask.any(axis=0)
-            running_cnt = (zst >= QUEUING).sum(axis=0)
-            join_due = (
-                waiting_any & (running_cnt < 2) & has_leader
-                & (lead_local >= committed + tc)
-            )
-            start_ck = alive & has_leader & ~any_ck
-            elig = start_ck & ~join_due
-            lhour = hourst[lead_zi, rows]
-            left = np.maximum((lhour + 3600.0) - t, 0.0)
-            due = per_m & elig & (left <= tc + 1e-6)
-            due &= latch[lead_zi, rows] != lhour  # NaN: never latched
-            due &= lead_local > committed + 1e-9
-            di = np.flatnonzero(due)
-            latch[lead_zi[di], di] = lhour[di]
-            timed = md_m & elig & (t + 1e-6 >= md_next)
-            noprog = timed & (lead_local <= committed + 1e-9)
-            for i in np.flatnonzero(noprog):
-                md_schedule(i)  # push instead of a no-progress commit
-            due |= timed & ~noprog
-            fire = (start_ck & join_due) | due
-            if fire.any():
-                fi = np.flatnonzero(fire)
-                lz = lead_zi[fi]
-                pendc[lz, fi] = lead_local[fi]
-                zst[lz, fi] = CHECKPOINTING
-                phase[lz, fi] = tc[fi]
-                if events is not None:
-                    for j, i in enumerate(fi):
-                        events[i].append(Event(
-                            time=float(t[i]), kind="checkpoint-started",
-                            zone=zorder[lz[j]],
-                            detail=f"P={lead_local[i]:.0f}s",
-                        ))
-
-            any_running = (zst >= QUEUING).any(axis=0)
-            go = alive & waiting_any & (~any_running | ckpt_flag)
-            for i in np.flatnonzero(go):
-                source = "recent" if ckpt_flag[i] else "previous"
-                com = float(committed[i])
-                for zi in range(Z):
-                    if zst[zi, i] != WAITING:
-                        continue
-                    delay = self.queue_model.sample(rngs[i])
-                    draws[i] += 1
-                    zst[zi, i] = QUEUING
-                    phase[zi, i] = delay
-                    pendr[zi, i] = float(tr[i]) if com > 0 else 0.0
-                    zbase[zi, i] = com
-                    zcomp[zi, i] = 0.0
-                    csince[zi, i] = np.nan
-                    hourst[zi, i] = t[i]
-                    zrate[zi, i] = znow_p[zi][i]
-                    zrest[zi, i] += 1
-                    if events is not None:
-                        events[i].append(Event(
-                            time=float(t[i]), kind="restarted",
-                            zone=zorder[zi],
-                            detail=f"from-{source}-ckpt P={com:.0f}s",
-                        ))
-                if kindcol[i] == 1:
-                    md_schedule(i)  # one reschedule after the restarts
-            ckpt_flag &= ~alive
-
-            # advance (identical sweep to _simulate_rows)
-            fin_off = np.full((Z, n), np.nan)
-            commit_val = np.full(n, -1.0)
-            commit_zi = np.zeros(n, dtype=np.int64)
-            has_commit = np.zeros(n, dtype=bool)
-            for zi in range(Z):
-                st = zst[zi]
-                run_z = alive & (st >= QUEUING)
-                remaining = np.where(run_z, dt, 0.0)
-
-                m = run_z & (st == QUEUING)
-                if m.any():
-                    used = np.minimum(phase[zi], remaining)
-                    phase[zi][m] -= used[m]
-                    remaining[m] -= used[m]
-                    done = m & (phase[zi] <= 1e-9)
-                    st[done] = RESTARTING
-                    phase[zi][done] = pendr[zi][done]
-                    straight = done & (phase[zi] <= 1e-9)
-                    st[straight] = COMPUTING
-                    csince[zi][straight] = t[straight] + (
-                        dt - remaining[straight]
-                    )
-
-                m = run_z & (st == RESTARTING) & (remaining > 1e-9)
-                if m.any():
-                    used = np.minimum(phase[zi], remaining)
-                    phase[zi][m] -= used[m]
-                    remaining[m] -= used[m]
-                    done = m & (phase[zi] <= 1e-9)
-                    st[done] = COMPUTING
-                    csince[zi][done] = t[done] + (dt - remaining[done])
-
-                m = run_z & (st == CHECKPOINTING) & (remaining > 1e-9)
-                if m.any():
-                    used = np.minimum(phase[zi], remaining)
-                    phase[zi][m] -= used[m]
-                    remaining[m] -= used[m]
-                    done = m & (phase[zi] <= 1e-9)
-                    di = np.flatnonzero(done)
-                    commit_val[di] = pendc[zi][di]
-                    commit_zi[di] = zi
-                    has_commit[di] = True
-                    st[done] = COMPUTING
-                    csince[zi][done] = t[done] + (dt - remaining[done])
-
-                m = run_z & (st == COMPUTING) & (remaining > 1e-9)
-                if m.any():
-                    need = C - (zbase[zi] + zcomp[zi])
-                    done_pre = m & (need <= 1e-9)
-                    fin_off[zi][done_pre] = dt - remaining[done_pre]
-                    mm = m & ~done_pre
-                    used = np.minimum(need, remaining)
-                    zcomp[zi][mm] += used[mm]
-                    remaining[mm] -= used[mm]
-                    need = C - (zbase[zi] + zcomp[zi])
-                    done_post = mm & (need <= 1e-9)
-                    fin_off[zi][done_post] = dt - remaining[done_post]
-
-            ci = np.flatnonzero(has_commit)
-            if ci.size:
-                committed[ci] = commit_val[ci]
-                ncomm[ci] += 1
-                ckpt_flag[ci] = True
-                if events is not None:
-                    for i in ci:
-                        events[i].append(Event(
-                            time=float(t[i] + dt),
-                            kind="checkpoint-committed",
-                            zone=zorder[commit_zi[i]],
-                            detail=f"P={commit_val[i]:.0f}s",
-                        ))
-
-            fin = np.fmin.reduce(t[None, :] + fin_off, axis=0)
-            done_r = alive & ~np.isnan(fin)
-            if done_r.any():
-                di = np.flatnonzero(done_r)
-                for zi in range(Z):
-                    close = done_r & (zst[zi] >= QUEUING)
-                    idx = np.flatnonzero(close)
-                    if idx.size == 0:
-                        continue
-                    used = fin[idx] - hourst[zi][idx]
-                    if np.any(used > 3600.0 + 1e-6):  # pragma: no cover
-                        raise EngineError(
-                            "open billing hour overran its boundary"
-                        )
-                    charge = idx[used >= 1.0]
-                    zspot[zi][charge] += zrate[zi][charge]
-                    zhours[zi][charge] += 1
-                    hourst[zi][idx] = np.nan
-                    zrate[zi][idx] = 0.0
-                zst[:, di] = DOWN
-                if events is not None:
-                    emit(di, fin[di], "completed", None,
-                         ["on spot"] * di.size)
-                finish[di] = fin[di]
-                completed_on[di] = 1
-                alive &= ~done_r
-            t[alive] += dt
-
-            # -- quiescence: _simulate_rows' bounds plus the controller
-            # hazards (rule-1 while down, rule-3 timer, rule-2 hour
-            # boundaries), per-run policy kind dispatch ----------------
-            comp_mask = zst == COMPUTING
-            trans_mask = (zst == QUEUING) | (zst == RESTARTING)
-            wait_mask = zst == WAITING
-            ck_any = (zst == CHECKPOINTING).any(axis=0)
-            computing_any = comp_mask.any(axis=0)
-            waiting_any = wait_mask.any(axis=0)
-            running_cnt = (comp_mask | trans_mask).sum(axis=0)
-
-            md_m = kindcol == 1
-            per_m = ~md_m
-            zero = ck_any.copy()
-            zero |= ckpt_flag & md_m  # rescheduling is not a no-op
-            zero |= ckpt_flag & per_m & waiting_any
-            dropc = ckpt_flag & per_m & ~waiting_any
-            # rule 1: with nothing running the controller evaluates
-            # every tick, whether or not a zone is waiting
-            zero |= running_cnt == 0
-
-            i2 = np.clip(
-                ((t - ref_z0) // dt).astype(np.int64), 0, ref_len - 1
-            )
-            kq = np.full(n, float(1 << 30))
-            loc = zbase + zcomp
-            ubids, bclass = np.unique(bid_arr, return_inverse=True)
-            for zi in range(Z):
-                a = zact[zi]
-                if not a.any():
-                    continue
-                pz = zprices[zi][np.minimum(i2, zlen[zi] - 1)]
-                run_z = comp_mask[zi] | trans_mask[zi]
-                zero |= run_z & (pz > bid_arr)
-                off = alive & a & ~run_z & (zst[zi] != CHECKPOINTING)
-                zero |= off & ((pz <= bid_arr) != wait_mask[zi])
-                for bi, ub in enumerate(ubids):
-                    rows_b = np.flatnonzero((bclass == bi) & a)
-                    if rows_b.size == 0:
-                        continue
-                    cr, cr_ext = crossings(zi, float(ub))
-                    nc = cr_ext[
-                        np.searchsorted(cr, i2[rows_b], side="right")
-                    ]
-                    kq[rows_b] = np.minimum(
-                        kq[rows_b], (nc - i2[rows_b]).astype(np.float64)
-                    )
-                nstep = np.floor_divide(phase[zi] - 1e-6, dt)
-                zero |= trans_mask[zi] & (nstep < 1.0)
-                kq = np.where(trans_mask[zi], np.minimum(kq, nstep), kq)
-
-            marginq = (
-                (((deadline - t) - np.maximum(C - committed, 0.0)) - tc)
-                - tr
-            )
-            kq = np.minimum(
-                kq, np.floor(((marginq - tc) - 3.0 * dt) / dt) - 1.0
-            )
-
-            max_local = np.where(comp_mask, loc, -np.inf).max(axis=0)
-            kq = np.where(
-                computing_any,
-                np.minimum(kq, np.floor((C - max_local) / dt) - 2.0),
-                kq,
-            )
-            kq = np.where(
-                computing_any & waiting_any & (running_cnt < 2),
-                np.minimum(
-                    kq,
-                    np.floor(((committed + tc) - max_local) / dt) - 1.0,
-                ),
-                kq,
-            )
-
-            # fast_forward_until of the *installed* policy per run
-            due_at = np.where(
-                comp_mask & ~np.isnan(hourst),
-                np.where(
-                    latch == hourst,
-                    ((hourst + 3600.0) - tc) + 3600.0,
-                    (hourst + 3600.0) - tc,
-                ),
-                np.inf,
-            )
-            horizon = due_at.min(axis=0)
-            horizon = np.where(md_m, md_next - 1e-6, horizon)
-            kq = np.where(
-                computing_any & np.isfinite(horizon),
-                np.minimum(kq, np.ceil(((horizon - t) - 1e-6) / dt)),
-                kq,
-            )
-
-            # controller hazards: before the first decision
-            # next_decision_time is None (no skip at all); afterwards
-            # the rule-3 timer bounds, and every computing/transient
-            # zone's hour boundary is a rule-2 decision point
-            zero |= np.isinf(last_eval)
-            kq = np.minimum(
-                kq, np.ceil((((last_eval + reeval) - t) - 1e-6) / dt)
-            )
-            for zi in range(Z):
-                m = comp_mask[zi] | trans_mask[zi]
-                if not m.any():
-                    continue
-                steps = np.round(((hourst[zi] + 3600.0) - t) / dt)
-                kq = np.where(m, np.minimum(kq, steps), kq)
-
-            ks = np.where(alive & ~zero, kq, 0.0)
-            ki = np.maximum(ks, 0.0).astype(np.int64)
-            ckpt_flag &= ~(dropc & (ki > 0))
-            skip = alive & (ki > 0)
-            if not skip.any():
-                continue
-
-            # bulk skip, identical to _simulate_rows (fractional
-            # clocks replay the scalar per-tick accrual)
-            kf = ki.astype(np.float64)
-            accr_z = comp_mask | trans_mask
-            accr_any = accr_z.any(axis=0)
-            frac = t != np.floor(t)
-            plain = skip & ~accr_any
-            pint = plain & ~frac
-            t[pint] += kf[pint] * dt
-            for i in np.flatnonzero(plain & frac):
-                t_i = float(t[i])
-                for _ in range(int(ki[i])):
-                    t_i += dt
-                t[i] = t_i
-            for i in np.flatnonzero(skip & accr_any & frac):
-                zis = [zi for zi in range(Z) if accr_z[zi, i]]
-                t_i = float(t[i])
-                for _ in range(int(ki[i])):
-                    for zi in zis:
-                        while hourst[zi, i] + 3600.0 <= t_i + 1e-6:
-                            boundary = float(hourst[zi, i]) + 3600.0
-                            zspot[zi, i] += zrate[zi, i]
-                            zhours[zi, i] += 1
-                            new_rate = float(zprices[zi][
-                                int((boundary - zz0[zi]) // dt)
-                            ])
-                            zrate[zi, i] = new_rate
-                            hourst[zi, i] = boundary
-                            if events is not None:
-                                events[i].append(Event(
-                                    time=boundary, kind="hour-rolled",
-                                    zone=zorder[zi],
-                                    detail=f"rate={new_rate:.3f}",
-                                ))
-                        if comp_mask[zi, i]:
-                            zcomp[zi, i] += dt
-                        else:
-                            phase[zi, i] -= dt
-                    t_i += dt
-                t[i] = t_i
-            accr = skip & accr_any & ~frac
-            if not accr.any():
-                continue
-            last = t + (kf - 1.0) * dt
-            entries_by_run: dict[int, list] = {}
-            for zi in range(Z):
-                m = accr & accr_z[zi]
-                while True:
-                    roll = m & (hourst[zi] + 3600.0 <= last + 1e-6)
-                    if not roll.any():
-                        break
-                    idx = np.flatnonzero(roll)
-                    boundary = hourst[zi][idx] + 3600.0
-                    zspot[zi][idx] += zrate[zi][idx]
-                    zhours[zi][idx] += 1
-                    new_rate = zprices[zi][
-                        ((boundary - zz0[zi]) // dt).astype(np.int64)
-                    ]
-                    zrate[zi][idx] = new_rate
-                    hourst[zi][idx] = boundary
-                    if events is not None:
-                        for j, i in enumerate(idx):
-                            tick = int(math.ceil(
-                                (float(boundary[j]) - float(t[i]) - 1e-6)
-                                / dt
-                            ))
-                            entries_by_run.setdefault(int(i), []).append((
-                                max(tick, 0), zi, float(boundary[j]),
-                                zorder[zi],
-                                f"rate={float(new_rate[j]):.3f}",
-                            ))
-                cm = accr & comp_mask[zi]
-                if cm.any():
-                    whole = cm & (zcomp[zi] == np.floor(zcomp[zi]))
-                    zcomp[zi][whole] += kf[whole] * dt
-                    for i in np.flatnonzero(cm & ~whole):
-                        cs_acc = float(zcomp[zi][i])
-                        for _ in range(int(ki[i])):
-                            cs_acc += dt
-                        zcomp[zi][i] = cs_acc
-                tm = accr & trans_mask[zi]
-                if tm.any():
-                    whole = tm & (phase[zi] == np.floor(phase[zi]))
-                    phase[zi][whole] -= kf[whole] * dt
-                    for i in np.flatnonzero(tm & ~whole):
-                        ph_acc = float(phase[zi][i])
-                        for _ in range(int(ki[i])):
-                            ph_acc -= dt
-                        phase[zi][i] = ph_acc
-            if events is not None:
-                for i, ent in entries_by_run.items():
-                    ent.sort(key=lambda e: (e[0], e[1]))
-                    for _, _, boundary_f, zname, detail in ent:
-                        events[i].append(Event(
-                            time=boundary_f, kind="hour-rolled",
-                            zone=zname, detail=detail,
-                        ))
-            t[accr] += kf[accr] * dt
-        else:  # pragma: no cover - loop guard
-            raise EngineError(
-                f"vector engine exceeded {max_rounds} rounds; "
-                f"{int(alive.sum())} runs still live"
-            )
-
-        # -- finalize: per-run plan state feeds the result ---------------
         spot_tot = np.zeros(n)
         for zi in range(Z):
             spot_tot = spot_tot + zspot[zi]

@@ -433,7 +433,7 @@ class ExperimentRunner:
         records come back start-major, zone-minor — the serial order;
         redundant cells run all their zones as one multi-zone batch;
         Adaptive cells batch the whole axis through
-        :meth:`~repro.core.vector_engine.VectorSimulator.run_adaptive_batch`.
+        :meth:`~repro.core.vector_engine.VectorSimulator.run_adaptive_cube`.
         """
         if task.kind not in ("single-zone", "redundant", "adaptive",
                              "large-bid"):
@@ -443,11 +443,12 @@ class ExperimentRunner:
         config = task.config
         starts = [float(s) for s in starts]
         rngs = [self._start_rng(s) for s in starts]
+        shape_idx = [0] * len(starts)
         vec = self.vector
         if task.kind == "adaptive":
             controller_factory = task.controller_factory or AdaptiveController
-            results = vec.run_adaptive_batch(
-                config, controller_factory, starts, rngs
+            results = vec.run_adaptive_cube(
+                [config], controller_factory, shape_idx, starts, rngs
             )
             return [
                 self._record("adaptive", config, results[i].bid, start,
@@ -461,8 +462,8 @@ class ExperimentRunner:
                 policy_factory = lambda: LargeBidPolicy(task.threshold)  # noqa: E731
             label = policy_factory().name
             per_zone = [
-                vec.run_batch(config, policy_factory, LARGE_BID, (zone,),
-                              starts, rngs)
+                vec.run_cube([config], policy_factory, (zone,), shape_idx,
+                             [LARGE_BID] * len(starts), starts, rngs)
                 for zone in task.zones
             ]
             records = []
@@ -476,7 +477,8 @@ class ExperimentRunner:
         factory = POLICY_FACTORIES[task.policy_label]
         if task.kind == "single-zone":
             per_zone = [
-                vec.run_batch(config, factory, task.bid, (zone,), starts, rngs)
+                vec.run_cube([config], factory, (zone,), shape_idx,
+                             [task.bid] * len(starts), starts, rngs)
                 for zone in task.zones
             ]
             records = []
@@ -489,8 +491,8 @@ class ExperimentRunner:
             return records
         zones = tuple(self.trace.zone_names[: task.num_zones])
         label = f"{task.policy_label}-r{task.num_zones}"
-        results = vec.run_batch(config, factory, task.bid, zones,
-                                starts, rngs)
+        results = vec.run_cube([config], factory, zones, shape_idx,
+                               [task.bid] * len(starts), starts, rngs)
         return [
             self._record(label, config, task.bid, start, results[i])
             for i, start in enumerate(starts)
@@ -693,8 +695,9 @@ class ExperimentRunner:
                             clone_of[si * nb + bcol[bid]] = rep_row
         vec = self.vector
         per_wave = [
-            vec.run_grid(config, factory, wave_zones, row_bids, row_starts,
-                         rngs, clone_of=clone_of)
+            vec.run_cube([config], factory, wave_zones,
+                         [0] * len(row_starts), row_bids, row_starts, rngs,
+                         clone_of=clone_of)
             for _, wave_zones in waves
         ]
         pairs: list[tuple[float, list[RunRecord]]] = []

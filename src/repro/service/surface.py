@@ -79,6 +79,9 @@ class SurfaceSpec:
                 raise ValueError(f"unknown policy label {label!r}")
         if not self.bids or not self.zone_counts or not self.policies:
             raise ValueError("spec needs at least one policy, bid and zone count")
+        for bid in self.bids:
+            if not bid > 0:  # also rejects NaN
+                raise ValueError(f"bid must be positive, got {bid}")
 
     @classmethod
     def for_config(cls, window: str, config: ExperimentConfig, **kwargs) -> "SurfaceSpec":

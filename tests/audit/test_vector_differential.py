@@ -103,6 +103,41 @@ def test_vector_differential_multi_zone(
     assert all(r.zones == tuple(zones) for r in report.vector_results)
 
 
+_ZONE_ORDER_CASES = [
+    (label, POLICY_FACTORIES[label], None, "reversed")
+    for label in sorted(POLICY_FACTORIES)
+] + [
+    (f"large-bid-{name}", lambda L=L: LargeBidPolicy(L), LARGE_BID, order)
+    for name, L in (("naive", None), ("L=0.50", 0.50))
+    for order in ("oracle", "reversed")
+]
+
+
+@pytest.mark.parametrize("window_name", ["low", "high"])
+@pytest.mark.parametrize(
+    "factory,bid,order",
+    [case[1:] for case in _ZONE_ORDER_CASES],
+    ids=[f"{case[0]}-{case[3]}" for case in _ZONE_ORDER_CASES],
+)
+def test_vector_differential_multi_zone_order(
+    window_name, factory, bid, order, config, low_window, high_window
+):
+    """Merged multi-zone cells whose zones are given out of oracle
+    order: state blocks stay in oracle order while market transitions
+    (events, RNG draws) follow the given order.  Large-bid's multi-zone
+    columns are checked in both orders."""
+    trace, eval_start = low_window if window_name == "low" else high_window
+    zones = trace.zone_names[:3]
+    if order == "reversed":
+        zones = zones[::-1]
+    starts = [eval_start, eval_start + 10800.0]
+    report = vector_differential_run(
+        trace, config, factory, 0.40 if bid is None else bid, zones, starts
+    )
+    assert report.ok, "\n".join(report.summary_lines())
+    assert all(r.zones == tuple(zones) for r in report.vector_results)
+
+
 @pytest.mark.parametrize("window_name", ["low", "high"])
 @pytest.mark.parametrize(
     "label,factory",

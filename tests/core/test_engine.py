@@ -202,6 +202,18 @@ class TestValidation:
         with pytest.raises(EngineError):
             sim.run(small_config(), PeriodicPolicy(), 0.0, ("za",), 0.0)
 
+    def test_nan_bid_rejected(self):
+        sim = make_sim(flat_trace())
+        with pytest.raises(EngineError, match="bid"):
+            sim.run(small_config(), PeriodicPolicy(), float("nan"), ("za",),
+                    0.0)
+
+    def test_infinite_bid_is_legal(self):
+        sim = make_sim(flat_trace(num_samples=288))
+        result = sim.run(small_config(compute_h=1.0, slack_fraction=1.0),
+                         PeriodicPolicy(), float("inf"), ("za",), 0.0)
+        assert result.completed_on == "spot"
+
     def test_trace_must_cover_deadline(self):
         trace = flat_trace(num_samples=12)  # one hour only
         sim = make_sim(trace)

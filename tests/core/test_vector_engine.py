@@ -61,8 +61,9 @@ def _vector_results(trace, config, factory, bid, zones, starts, *,
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=record_events, run_cache=cache,
     )
-    return vec.run_batch(
-        config, factory, bid, zones, starts, _start_rngs(starts, seed)
+    return vec.run_cube(
+        [config], factory, zones, [0] * len(starts), [bid] * len(starts),
+        starts, _start_rngs(starts, seed),
     )
 
 
@@ -119,7 +120,8 @@ def test_rng_streams_advance_identically(low_window, config):
         ).run(config, PeriodicPolicy(), 0.27, (zone,), s)
     VectorSimulator(
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
-    ).run_batch(config, PeriodicPolicy, 0.27, (zone,), starts, rv)
+    ).run_cube([config], PeriodicPolicy, (zone,), [0] * len(starts),
+               [0.27] * len(starts), starts, rv)
     for a, b in zip(rf, rv):
         assert a.bit_generator.state == b.bit_generator.state
 
@@ -159,8 +161,9 @@ def test_fractional_start_native(low_window, config):
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=True,
     )
-    results = vec.run_batch(
-        config, PeriodicPolicy, 0.27, (zone,), starts, _start_rngs(starts)
+    results = vec.run_cube(
+        [config], PeriodicPolicy, (zone,), [0] * len(starts),
+        [0.27] * len(starts), starts, _start_rngs(starts),
     )
     assert results == fast
     assert vec.stats.native == len(starts)
@@ -172,22 +175,40 @@ def test_batch_validation_errors(low_window, config):
     vec = VectorSimulator(
         oracle=PriceOracle(trace), queue_model=QueueDelayModel()
     )
+    zone1 = trace.zone_names[:1]
     with pytest.raises(EngineError, match="zone"):
-        vec.run_batch(config, PeriodicPolicy, 0.27, ("nope",),
-                      [eval_start], _start_rngs([eval_start]))
+        vec.run_cube([config], PeriodicPolicy, ("nope",), [0], [0.27],
+                     [eval_start], _start_rngs([eval_start]))
     with pytest.raises(EngineError, match="bid"):
-        vec.run_batch(config, PeriodicPolicy, 0.0, trace.zone_names[:1],
-                      [eval_start], _start_rngs([eval_start]))
+        vec.run_cube([config], PeriodicPolicy, zone1, [0], [0.0],
+                     [eval_start], _start_rngs([eval_start]))
     late = trace.end_time - 3600.0  # deadline beyond the trace end
     with pytest.raises(EngineError, match="before the deadline"):
-        vec.run_batch(config, PeriodicPolicy, 0.27, trace.zone_names[:1],
-                      [late], _start_rngs([late]))
+        vec.run_cube([config], PeriodicPolicy, zone1, [0], [0.27],
+                     [late], _start_rngs([late]))
     with pytest.raises(EngineError, match="rng streams"):
-        vec.run_batch(config, PeriodicPolicy, 0.27, trace.zone_names[:1],
-                      [eval_start, eval_start + 300.0],
-                      _start_rngs([eval_start]))
-    assert vec.run_batch(config, PeriodicPolicy, 0.27, trace.zone_names[:1],
-                         [], []) == []
+        vec.run_cube([config], PeriodicPolicy, zone1, [0, 0], [0.27, 0.27],
+                     [eval_start, eval_start + 300.0],
+                     _start_rngs([eval_start]))
+    assert vec.run_cube([config], PeriodicPolicy, zone1, [], [], [],
+                        []) == []
+
+
+def test_nan_bid_rejected(low_window, config):
+    """NaN fails every comparison, so a ``bid <= 0`` check lets it
+    through as an all-on-demand run; an infinite bid stays legal."""
+    trace, eval_start = low_window
+    vec = VectorSimulator(
+        oracle=PriceOracle(trace), queue_model=QueueDelayModel()
+    )
+    zone1 = trace.zone_names[:1]
+    with pytest.raises(EngineError, match="bid"):
+        vec.run_cube([config], PeriodicPolicy, zone1, [0], [float("nan")],
+                     [eval_start], _start_rngs([eval_start]))
+    (result,) = vec.run_cube([config], PeriodicPolicy, zone1, [0],
+                             [float("inf")], [eval_start],
+                             _start_rngs([eval_start]))
+    assert result.bid == float("inf")
 
 
 def test_vector_populates_cache_fast_engine_hits(low_window, config, tmp_path):
@@ -239,7 +260,8 @@ def test_cache_hit_burns_rng_draws(low_window, config, tmp_path):
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=False, run_cache=cache,
     )
-    vecsim.run_batch(config, PeriodicPolicy, 0.27, (zone,), starts, warm)
+    vecsim.run_cube([config], PeriodicPolicy, (zone,), [0] * len(starts),
+                    [0.27] * len(starts), starts, warm)
     oracle = PriceOracle(trace)
     for s, rng in zip(starts, cold):
         SpotSimulator(
@@ -277,8 +299,9 @@ def test_adaptive_batch_native_matches_fast_engine(low_window, config):
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=True,
     )
-    results = vec.run_adaptive_batch(
-        config, AdaptiveController, starts, _start_rngs(starts)
+    results = vec.run_adaptive_cube(
+        [config], AdaptiveController, [0] * len(starts), starts,
+        _start_rngs(starts),
     )
     assert results == fast
     assert vec.stats.native == len(starts)
@@ -315,8 +338,9 @@ def test_adaptive_subclass_falls_back_under_controller_reason(
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=True,
     )
-    results = vec.run_adaptive_batch(
-        config, TweakedController, starts, _start_rngs(starts)
+    results = vec.run_adaptive_cube(
+        [config], TweakedController, [0] * len(starts), starts,
+        _start_rngs(starts),
     )
     assert results == fast
     assert vec.stats.native == 0
@@ -342,8 +366,9 @@ def test_large_bid_batch_native(low_window, config, threshold):
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=True,
     )
-    results = vec.run_batch(
-        config, factory, LARGE_BID, (zone,), starts, _start_rngs(starts)
+    results = vec.run_cube(
+        [config], factory, (zone,), [0] * len(starts),
+        [LARGE_BID] * len(starts), starts, _start_rngs(starts),
     )
     assert results == fast
     assert vec.stats.native == len(starts)
@@ -375,8 +400,9 @@ def test_engine_only_emits_enum_reasons(low_window, config):
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=True,
     )
-    results = vec.run_batch(
-        config, OffGridPolicy, 0.27, (zone,), starts, _start_rngs(starts)
+    results = vec.run_cube(
+        [config], OffGridPolicy, (zone,), [0] * len(starts),
+        [0.27] * len(starts), starts, _start_rngs(starts),
     )
     assert results == fast  # the fallback is still bit-identical
     assert vec.stats.fallback == {FALLBACK_POLICY: len(starts)}

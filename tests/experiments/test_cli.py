@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.engine import EngineError
 
 
 class TestParser:
@@ -46,6 +47,11 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "total cost" in out
         assert "met deadline: True" in out
+
+    def test_run_rejects_nan_bid(self):
+        with pytest.raises(EngineError, match="bid"):
+            main(["run", "--policy", "periodic", "--bid", "nan",
+                  "--window", "low"])
 
     def test_run_adaptive(self, capsys):
         assert main(["run", "--policy", "adaptive", "--window", "low",

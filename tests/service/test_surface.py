@@ -56,6 +56,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             SurfaceSpec(**{**SMALL, "bids": ()})
 
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.27])
+    def test_rejects_nan_and_nonpositive_bids(self, bad):
+        with pytest.raises(ValueError, match="bid"):
+            SurfaceSpec(**{**SMALL, "bids": (0.27, bad)})
+
 
 class TestCell:
     def test_from_records_aggregates(self):
