@@ -65,9 +65,10 @@ def test_batched_bid_axis_speedup(benchmark, bench_experiments):
 
     baseline_runner = ExperimentRunner("low", num_experiments=n)
     t0 = time.perf_counter()
-    per_bid = baseline_runner.run_bid_axis(
-        "periodic", config, BID_GRID, batched=False
-    )
+    per_bid = {
+        bid: baseline_runner.run_single_zone("periodic", config, bid)
+        for bid in BID_GRID
+    }
     per_bid_s = time.perf_counter() - t0
 
     batched_runner = ExperimentRunner("low", num_experiments=n)

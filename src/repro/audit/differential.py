@@ -23,12 +23,11 @@ per-run audited fast simulations, and every run is diffed field by
 field — RunResults, engine event logs, and the vector log against the
 scalar side's *audited* stream (meta and transition events filtered
 out), so the batch path is held to the exact event sequence the audit
-layer certifies.  :func:`vector_differential_grid` does the same for a
-fused (bid x start) tile — bid-equivalence clone rows included, each
-held to a fully independent audited run at its own bid — and
-:func:`vector_differential_cube` for a (shape x bid x start) cube,
-where every shape row is held to an independent audited run at its own
-(compute, deadline, checkpoint-cost) shape.
+layer certifies.  :func:`vector_differential_cube` does the same for a
+(shape x bid x start) cube — a fused (bid x start) tile is its
+one-shape case — holding every row, bid-equivalence clones included,
+to an independent audited run at its own bid and (compute, deadline,
+checkpoint-cost) shape.
 """
 
 from __future__ import annotations
@@ -456,106 +455,6 @@ def vector_differential_adaptive(
     return report
 
 
-def vector_differential_grid(
-    trace,
-    config,
-    policy_factory: Callable[[], object],
-    bids: Sequence[float],
-    zones: tuple[str, ...],
-    starts: Sequence[float],
-    *,
-    queue_model=None,
-    seed: int = 0,
-) -> VectorDifferentialReport:
-    """Replay a fused (bid x start) tile and diff it row by row.
-
-    Rows are laid out start-major over the bid grid — the layout
-    ``ExperimentRunner.run_grid_cell`` feeds the engine — including the
-    availability-equivalence clone plan for bid-invariant policies.
-    The scalar side simulates *every* row independently through an
-    audited fast engine, so cloned rows are held to the strongest
-    standard: bit-identical to a full independent run at their own
-    (bid, start), not merely to the representative they were copied
-    from.
-    """
-    from repro.core.bid_batch import bid_equivalence_classes
-    from repro.core.engine import SpotSimulator
-    from repro.core.vector_engine import VectorSimulator
-    from repro.market.queuing import QueueDelayModel
-    from repro.market.spot_market import PriceOracle
-
-    qm = queue_model or QueueDelayModel()
-    bids = [float(b) for b in bids]
-    starts = [float(s) for s in starts]
-    zones = tuple(zones)
-    nb = len(bids)
-    row_bids = [bid for _ in starts for bid in bids]
-    row_starts = [s for s in starts for _ in bids]
-
-    def row_rngs():
-        return [
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(int(s),))
-            )
-            for s in row_starts
-        ]
-
-    clone_of = None
-    if nb > 1 and getattr(type(policy_factory()), "bid_invariant", False):
-        clone_of = [None] * len(row_bids)
-        bcol = {bid: j for j, bid in enumerate(bids)}
-        for si, s in enumerate(starts):
-            classes = bid_equivalence_classes(
-                trace, zones, bids, s, config.deadline_s
-            )
-            for cls in classes:
-                rep_row = si * nb + bcol[cls.representative]
-                for bid in cls.members:
-                    if bid != cls.representative:
-                        clone_of[si * nb + bcol[bid]] = rep_row
-
-    fast_oracle = PriceOracle(trace)
-    sink = MemorySink()
-    auditor = RunAuditor(sink=sink, strict=False)
-    fast_results = []
-    audited_streams: list[list[AuditEvent]] = []
-    for bid, s, rng in zip(row_bids, row_starts, row_rngs()):
-        before = len(sink.events)
-        sim = SpotSimulator(
-            oracle=fast_oracle, queue_model=qm, rng=rng,
-            record_events=True, engine_mode="fast", auditor=auditor,
-        )
-        fast_results.append(sim.run(config, policy_factory(), bid, zones, s))
-        audited_streams.append(list(sink.events[before:]))
-    fast_audit = auditor.drain()
-
-    vec = VectorSimulator(
-        oracle=PriceOracle(trace), queue_model=qm, record_events=True
-    )
-    vector_results = vec.run_cube(
-        [config], policy_factory, zones, [0] * len(row_starts), row_bids,
-        row_starts, row_rngs(), clone_of=clone_of,
-    )
-
-    report = VectorDifferentialReport(
-        fast_audit=fast_audit,
-        vector_results=vector_results,
-        fast_results=fast_results,
-    )
-    for i, (v, f) in enumerate(zip(vector_results, fast_results)):
-        where = f"row[{i}](bid={row_bids[i]:.2f})"
-        for d in diff_results(v, f):
-            report.result_diffs.append(
-                FieldDiff(f"{where}.{d.where}", d.field, d.fast, d.tick)
-            )
-        report.audit_stream_diffs.extend(
-            diff_log_vs_audit_stream(
-                v.events, audited_streams[i], where=f"{where}.event"
-            )
-        )
-    return report
-
-
 def vector_differential_cube(
     trace,
     configs: Sequence,
@@ -569,17 +468,19 @@ def vector_differential_cube(
 ) -> VectorDifferentialReport:
     """Replay a fused (shape x bid x start) cube and diff it row by row.
 
-    Rows are laid out shape-major over per-shape (bid x start) tiles —
-    the layout ``ExperimentRunner.run_cube_cell`` feeds the engine —
-    with the availability-equivalence clone plan resolved per
-    (shape, start) so clones never cross shapes.  The scalar side
-    simulates *every* row independently through an audited fast engine
-    at that row's own :class:`~repro.app.workload.ExperimentConfig`:
-    sharing the zone-dynamics column work across the shape ladder must
-    leave each shape's RunResults, event logs and queue-delay draw
-    sequences exactly what standalone runs at that shape produce.
+    Rows follow :func:`~repro.core.bid_batch.cube_layout` — the layout
+    ``ExperimentRunner.run_cube_cell`` feeds the engine — with the
+    availability-equivalence clone plan resolved per (shape, start) so
+    clones never cross shapes.  A fused (bid x start) tile is the
+    one-shape case.  The scalar side simulates *every* row
+    independently through an audited fast engine at that row's own
+    bid and :class:`~repro.app.workload.ExperimentConfig`, so cloned
+    rows are held to a full independent run, not merely to their
+    representative, and sharing the zone-dynamics column work across
+    the shape ladder must leave each shape's RunResults, event logs and
+    queue-delay draw sequences exactly what standalone runs produce.
     """
-    from repro.core.bid_batch import bid_equivalence_classes
+    from repro.core.bid_batch import cube_layout
     from repro.core.engine import SpotSimulator
     from repro.core.vector_engine import VectorSimulator
     from repro.market.queuing import QueueDelayModel
@@ -587,20 +488,11 @@ def vector_differential_cube(
 
     qm = queue_model or QueueDelayModel()
     configs = list(configs)
-    bids = [float(b) for b in bids]
     zones = tuple(zones)
-    nb = len(bids)
-    shape_idx: list[int] = []
-    row_bids: list[float] = []
-    row_starts: list[float] = []
-    row0: list[int] = []
-    for k, shape_starts in enumerate(starts_per_shape):
-        row0.append(len(row_bids))
-        for s in shape_starts:
-            for bid in bids:
-                shape_idx.append(k)
-                row_bids.append(bid)
-                row_starts.append(float(s))
+    shape_idx, row_bids, row_starts, _, clone_of = cube_layout(
+        trace, zones, configs, [float(b) for b in bids], starts_per_shape,
+        bid_invariant=getattr(type(policy_factory()), "bid_invariant", False),
+    )
 
     def row_rngs():
         return [
@@ -609,21 +501,6 @@ def vector_differential_cube(
             )
             for s in row_starts
         ]
-
-    clone_of = None
-    if nb > 1 and getattr(type(policy_factory()), "bid_invariant", False):
-        clone_of = [None] * len(row_bids)
-        bcol = {bid: j for j, bid in enumerate(bids)}
-        for k, shape_starts in enumerate(starts_per_shape):
-            for si, s in enumerate(shape_starts):
-                classes = bid_equivalence_classes(
-                    trace, zones, bids, float(s), configs[k].deadline_s
-                )
-                for cls in classes:
-                    rep_row = row0[k] + si * nb + bcol[cls.representative]
-                    for bid in cls.members:
-                        if bid != cls.representative:
-                            clone_of[row0[k] + si * nb + bcol[bid]] = rep_row
 
     fast_oracle = PriceOracle(trace)
     sink = MemorySink()

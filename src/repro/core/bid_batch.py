@@ -21,13 +21,15 @@ executor (:meth:`~repro.experiments.runner.ExperimentRunner.run_bid_axis`)
 runs one representative per class and clones its results for the
 other members, sharing the price scan, crossing indices and
 checkpoint-schedule computation across the whole bid axis.
+:func:`cube_layout` lays a whole (shape x bid x start) cube out as
+vector-engine rows with the same classes as its clone plan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,3 +99,69 @@ def bid_equivalence_classes(
         )
         lo = j
     return classes
+
+
+class CubeLayout(NamedTuple):
+    """Row columns of one (shape x bid x start) cube, plus its clone plan.
+
+    Rows are shape-major, then start-major over the bid grid: row
+    ``row0[k] + si * len(bids) + bj`` is shape ``k``'s ``si``-th start
+    at ``bids[bj]``.  ``clone_of[i]`` names the representative row whose
+    trajectory row ``i`` copies (``None`` for simulated rows); the whole
+    plan is ``None`` when no row is a clone candidate.
+    """
+
+    shape_idx: list[int]
+    row_bids: list
+    row_starts: list[float]
+    row0: list[int]
+    clone_of: list[int | None] | None
+
+
+def cube_layout(
+    trace: SpotPriceTrace,
+    zones: Sequence[str],
+    configs: Sequence,
+    bids: Sequence,
+    starts_per_shape: Sequence[Sequence[float]],
+    bid_invariant: bool,
+) -> CubeLayout:
+    """Lay a cube out as rows and resolve its bid-equivalence clones.
+
+    Each job shape (an :class:`~repro.app.workload.ExperimentConfig`)
+    brings its own start list, since the overlapping-start grid depends
+    on the deadline.  Clones are resolved per (shape, start) over
+    ``zones`` — never across shapes, because a clone must share its
+    representative's deadline — and only when there is more than one
+    bid and the policy is ``bid_invariant``.  A start axis is the
+    one-shape, one-bid case; a bid axis the one-shape case.
+    """
+    bids = list(bids)
+    nb = len(bids)
+    shape_idx: list[int] = []
+    row_bids: list = []
+    row_starts: list[float] = []
+    row0: list[int] = []
+    for k, shape_starts in enumerate(starts_per_shape):
+        row0.append(len(row_bids))
+        for start in shape_starts:
+            for bid in bids:
+                shape_idx.append(k)
+                row_bids.append(bid)
+                row_starts.append(float(start))
+    clone_of = None
+    if nb > 1 and bid_invariant:
+        clone_of = [None] * len(row_bids)
+        bcol = {bid: j for j, bid in enumerate(bids)}
+        for k, shape_starts in enumerate(starts_per_shape):
+            for si, start in enumerate(shape_starts):
+                base = row0[k] + si * nb
+                classes = bid_equivalence_classes(
+                    trace, zones, bids, float(start), configs[k].deadline_s
+                )
+                for cls in classes:
+                    rep_row = base + bcol[cls.representative]
+                    for bid in cls.members:
+                        if bid != cls.representative:
+                            clone_of[base + bcol[bid]] = rep_row
+    return CubeLayout(shape_idx, row_bids, row_starts, row0, clone_of)

@@ -157,15 +157,13 @@ def fig4_quadrant(
     (the paper's protocol); the redundancy box is the per-experiment
     best case over the four redundancy-based policies.  Each policy's
     whole bid axis runs as one cell — under ``engine_mode="vector"``
-    one fused (bid x start) lockstep tile — with per-bid records
-    identical to ``run_single_zone`` called once per bid.  Audited
-    runners take the per-bid per-run path so the auditor observes
-    every run.
+    one 1xBxS lockstep cube — with per-bid records identical to
+    ``run_single_zone`` called once per bid.  Audited runners take the
+    per-bid per-run path so the auditor observes every run.
     """
     config = paper_experiment(slack_fraction=slack_fraction, ckpt_cost_s=ckpt_cost_s)
     per_policy = {
-        label: runner.run_bid_axis(label, config, bids,
-                                   batched=not runner.audit)
+        label: runner.run_bid_axis(label, config, bids)
         for label in policies
     }
     cells: list[PolicyCell] = []

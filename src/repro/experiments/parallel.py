@@ -10,23 +10,28 @@ work unit observes another's randomness.
 
 Design:
 
-* **Shared-memory trace arena.**  The parent publishes each zone's
-  price array once into a ``multiprocessing.shared_memory`` block,
-  together with pre-warmed oracle statistic tables (per-bucket
-  stationary vectors, per-threshold crossing indices).  Workers map
-  the block zero-copy: their :class:`ZoneTrace` objects are views into
-  the arena, their oracles are seeded with the parent's
-  eigendecompositions, and the trace archive is generated exactly once
-  per sweep instead of once per process.  When shared memory is
-  unavailable (or the arena fails to build), workers fall back to
-  regenerating the window locally — the previous copy-on-write path —
-  with bit-identical results.
+* **Two kinds of work unit.**  Per-run units — one (task, start) pair
+  (:meth:`SweepExecutor.map_cells`), or one start of a scalar batched
+  bid axis (:meth:`SweepExecutor.map_bid_axis`) — are submitted once
+  per start.  Vector-served cells are (shape x bid x start) cubes
+  (:meth:`SweepExecutor.map_cube`) split into one contiguous
+  start-chunk per worker; a start axis (``map_start_axis``) is the
+  1x1xS cube and a bid grid (``map_grid``) the 1xBxS cube.
+* **The runner's own trace.**  Workers simulate exactly the window
+  the parent runner holds.  The parent publishes it once into a
+  ``multiprocessing.shared_memory`` block, together with pre-warmed
+  oracle statistic tables (per-bucket stationary vectors,
+  per-threshold crossing indices); workers map the block zero-copy and
+  seed their oracles with the parent's eigendecompositions.  When
+  shared memory is unavailable (or the arena fails to build or
+  attach), workers use the trace handed over in the pool initargs —
+  they never regenerate a window — with bit-identical results.
 * **Ordered merge.**  Futures are collected in submission (= start)
   order, so the record list is identical — values and order — to the
   serial path.  ``RunRecord`` trees are plain frozen dataclasses of
   floats/strings/tuples; pickling them is exact, so parallel results
   are bit-identical to serial runs.
-* **Pool reuse.**  The pool outlives a single ``map_cells`` call: one
+* **Pool reuse.**  The pool outlives a single map call: one
   :class:`SweepExecutor` serves a whole figure's worth of cells, so
   process start-up and trace construction are paid once per sweep,
   not once per cell.
@@ -215,15 +220,18 @@ def _init_worker(
     audit_out: str | None = None,
     arena: ArenaSpec | None = None,
     cache_dir: str | None = None,
+    trace: SpotPriceTrace | None = None,
+    eval_start: float | None = None,
 ) -> None:
     """Build this worker's trace + oracle once; all cells share them.
 
     With an arena spec the trace is mapped zero-copy from the parent's
     segment and the oracle is seeded with the pre-warmed stationary
-    tables; without one (or if attaching fails — e.g. the platform
-    lacks POSIX shared memory) the worker regenerates the window
-    locally, the original copy-on-write path.  Either way the arrays
-    are equal, so results are bit-identical.
+    tables.  Without one (or if attaching fails — e.g. the platform
+    lacks POSIX shared memory) the worker simulates the parent's own
+    ``trace``, which travels in the initargs; only a call given neither
+    generates the library window from ``window``/``seed``.  The arrays
+    are equal either way, so results are bit-identical.
 
     An audited pool gives each worker its own ``<audit_out>.w<pid>``
     JSONL file — concurrent appends to one shared file would interleave
@@ -247,12 +255,12 @@ def _init_worker(
             os.unlink(audit_out)  # pid reuse: never append to stale events
         except OSError:
             pass
-    trace = eval_start = warm = None
+    warm = None
     if arena is not None:
         try:
             _WORKER_SHM, trace, eval_start, warm = attach_arena(arena)
         except Exception:
-            _WORKER_SHM = trace = eval_start = warm = None
+            _WORKER_SHM = None
     _WORKER_RUNNER = ExperimentRunner(
         window,
         num_experiments=num_experiments,
@@ -270,78 +278,45 @@ def _init_worker(
         _WORKER_RUNNER.oracle.seed_stationary(warm)
 
 
-def _worker_extras() -> tuple[
-    AuditReport | None, CacheStats | None, BatchStats | None
-]:
-    """Drained per-call side channels: audit report, cache counters and
-    the vector engine's native/fallback tallies."""
-    report = _WORKER_RUNNER.drain_audit() if _WORKER_RUNNER.audit else None
-    stats = (
-        _WORKER_RUNNER.drain_cache_stats()
-        if _WORKER_RUNNER.cache is not None
-        else None
-    )
-    return report, stats, _WORKER_RUNNER.drain_vector_stats()
+def _serve(method: str, *args) -> tuple:
+    """Call one runner method on this worker's shared runner.
+
+    Returns the method's result plus the drained audit report,
+    run-cache counters and vector-batch counters (``None`` when the
+    respective feature is off), so violations and hit/miss/native
+    tallies observed inside the worker travel back to the parent with
+    the results they describe.
+    """
+    runner = _WORKER_RUNNER
+    if runner is None:  # pragma: no cover - initializer always ran
+        raise RuntimeError("worker pool used before initialization")
+    value = getattr(runner, method)(*args)
+    report = runner.drain_audit() if runner.audit else None
+    stats = runner.drain_cache_stats() if runner.cache is not None else None
+    return value, report, stats, runner.drain_vector_stats()
 
 
 def _run_cell(task: CellTask, start: float) -> tuple:
-    """Worker entry point: one (task, start) unit on the shared runner.
-
-    Returns the records plus the drained audit report, run-cache
-    counters and vector-batch counters (``None`` when the respective
-    feature is off), so violations and hit/miss/native tallies observed
-    inside the worker travel back to the parent with the results they
-    describe.
-    """
-    if _WORKER_RUNNER is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool used before initialization")
-    records = _WORKER_RUNNER.run_cell(task, start)
-    return (records, *_worker_extras())
+    """Worker entry point: one (task, start) unit, run per run."""
+    return _serve("run_cell", task, start)
 
 
 def _run_bid_axis_cell(task: CellTask, bids: tuple, start: float) -> tuple:
-    """Worker entry point for one start of a batched bid axis."""
-    if _WORKER_RUNNER is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool used before initialization")
-    pairs = _WORKER_RUNNER.run_bid_axis_cell(task, bids, start)
-    return (pairs, *_worker_extras())
-
-
-def _run_start_axis_chunk(task: CellTask, starts: tuple) -> tuple:
-    """Worker entry point for one contiguous chunk of a batched start
-    axis: the whole chunk goes through the vector engine in one batch
-    (:meth:`~repro.experiments.runner.ExperimentRunner.run_start_axis_cells`),
-    so the per-run Python loop disappears inside the workers too."""
-    if _WORKER_RUNNER is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool used before initialization")
-    records = _WORKER_RUNNER.run_start_axis_cells(task, list(starts))
-    return (records, *_worker_extras())
-
-
-def _run_grid_chunk(task: CellTask, bids: tuple, starts: tuple) -> tuple:
-    """Worker entry point for one start-chunk of a fused (bid x start)
-    tile: the chunk's whole bid axis advances in one lockstep pass
-    (:meth:`~repro.experiments.runner.ExperimentRunner.run_grid_cell`)."""
-    if _WORKER_RUNNER is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool used before initialization")
-    pairs = _WORKER_RUNNER.run_grid_cell(task, list(bids), list(starts))
-    return (pairs, *_worker_extras())
+    """Worker entry point for one start of a scalar batched bid axis."""
+    return _serve("run_bid_axis_cell", task, bids, start)
 
 
 def _run_cube_chunk(
     task: CellTask, configs: tuple, bids: tuple, starts_per_shape: tuple
 ) -> tuple:
-    """Worker entry point for one start-chunk of a fused (shape x bid x
+    """Worker entry point for one start-chunk of a (shape x bid x
     start) cube: every shape's slice of the chunk advances in one
     lockstep pass
     (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube_cell`)."""
-    if _WORKER_RUNNER is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool used before initialization")
-    cell = _WORKER_RUNNER.run_cube_cell(
-        task, list(configs), list(bids),
+    return _serve(
+        "run_cube_cell", task, list(configs), list(bids),
         [list(starts) for starts in starts_per_shape],
     )
-    return (cell, *_worker_extras())
 
 
 @dataclass
@@ -365,10 +340,14 @@ class SweepExecutor:
     #: (``None`` disables worker-side caching).
     cache_dir: str | None = None
     #: Publish the window into a shared-memory :class:`TraceArena` at
-    #: pool start-up.  Off (or a failed publish) falls back to each
-    #: worker regenerating the window — results are identical; the
+    #: pool start-up.  Off (or a failed publish) the workers use the
+    #: trace handed over in the initargs — results are identical; the
     #: arena only removes redundant per-process work.
     use_arena: bool = True
+    #: The window the workers simulate (default: the library window
+    #: of ``window``/``seed``).
+    trace: SpotPriceTrace | None = None
+    eval_start: float | None = None
     _pool: ProcessPoolExecutor | None = field(default=None, repr=False)
     _arena: "TraceArena | None" = field(default=None, repr=False)
     _audit_report: AuditReport = field(default_factory=AuditReport, repr=False)
@@ -380,6 +359,10 @@ class SweepExecutor:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.audit_out is not None:
             self.audit = True
+        if self.trace is None:
+            self.trace, self.eval_start = evaluation_window(self.window, self.seed)
+        elif self.eval_start is None:
+            raise ValueError("eval_start is required with an explicit trace")
 
     def _build_arena(self) -> "TraceArena | None":
         """Publish the window + warm statistic tables; ``None`` on failure.
@@ -392,7 +375,7 @@ class SweepExecutor:
         (the fast engine's segment-skipping lookups).
         """
         try:
-            trace, eval_start = evaluation_window(self.window, self.seed)
+            trace, eval_start = self.trace, self.eval_start
             oracle = PriceOracle(trace)
             warm = oracle.prewarm_stationary(eval_start, trace.end_time)
             thresholds = tuple(float(b) for b in bid_grid()) + (LARGE_BID,)
@@ -419,17 +402,31 @@ class SweepExecutor:
                     self.audit_out,
                     self._arena.spec if self._arena is not None else None,
                     self.cache_dir,
+                    # a worker that cannot map the arena simulates this
+                    # trace (inherited, not copied, under fork)
+                    self.trace,
+                    self.eval_start,
                 ),
             )
         return self._pool
 
-    def _absorb_extras(self, report, stats, vstats=None) -> None:
-        if report is not None:
-            self._audit_report.merge(report)
-        if stats is not None:
-            self._cache_stats.merge(stats)
-        if vstats is not None:
-            self._vector_stats.merge(vstats)
+    def _collect(self, fn, arg_lists) -> list:
+        """Submit ``fn(*args)`` for every entry of ``arg_lists`` and
+        collect the results in submission order, absorbing each
+        worker's side-channel counters: the ordered merge of every map."""
+        pool = self._ensure_pool()
+        futures = [pool.submit(fn, *args) for args in arg_lists]
+        out = []
+        for future in futures:
+            value, report, stats, vstats = future.result()
+            out.append(value)
+            if report is not None:
+                self._audit_report.merge(report)
+            if stats is not None:
+                self._cache_stats.merge(stats)
+            if vstats is not None:
+                self._vector_stats.merge(vstats)
+        return out
 
     def map_cells(
         self, task: CellTask, starts: Sequence[float]
@@ -440,19 +437,19 @@ class SweepExecutor:
         serial loop: worker k's records for start i land at exactly the
         position the serial path would have appended them.
         """
-        pool = self._ensure_pool()
-        futures = [pool.submit(_run_cell, task, float(s)) for s in starts]
-        records: list[RunRecord] = []
-        for future in futures:
-            cell_records, *extras = future.result()
-            records.extend(cell_records)
-            self._absorb_extras(*extras)
-        return records
+        return [
+            record
+            for records in self._collect(
+                _run_cell, [(task, float(s)) for s in starts]
+            )
+            for record in records
+        ]
 
     def map_bid_axis(
         self, task: CellTask, bids: Sequence[float], starts: Sequence[float]
     ) -> dict[float, list[RunRecord]]:
-        """Run a batched bid axis at every start; records in start order.
+        """Run a scalar batched bid axis at every start; records in
+        start order.
 
         Each worker partitions the bid grid into equivalence classes
         for its start and runs one representative per class
@@ -461,131 +458,77 @@ class SweepExecutor:
         values and order — to the serial batched path, which is itself
         identical to per-bid runs.
         """
-        pool = self._ensure_pool()
         bids = tuple(float(b) for b in bids)
-        futures = [
-            pool.submit(_run_bid_axis_cell, task, bids, float(s))
-            for s in starts
-        ]
         out: dict[float, list[RunRecord]] = {bid: [] for bid in bids}
-        for future in futures:
-            pairs, *extras = future.result()
+        for pairs in self._collect(
+            _run_bid_axis_cell, [(task, bids, float(s)) for s in starts]
+        ):
             for bid, records in pairs:
                 out[bid].extend(records)
-            self._absorb_extras(*extras)
         return out
 
-    def map_grid(
-        self, task: CellTask, bids: Sequence[float], starts: Sequence[float]
-    ) -> dict[float, list[RunRecord]]:
-        """Run a fused (bid x start) tile over the pool.
-
-        The start grid splits into one contiguous chunk per worker
-        (start order preserved); each chunk advances the whole bid axis
-        in one lockstep pass
-        (:meth:`~repro.experiments.runner.ExperimentRunner.run_grid_cell`).
-        The ordered merge reproduces the serial fused tile — and
-        therefore per-bid scalar runs — record for record.
-        """
-        pool = self._ensure_pool()
-        bids = tuple(float(b) for b in bids)
+    def _map_cube(
+        self,
+        task: CellTask,
+        configs: Sequence,
+        bids: Sequence,
+        starts_per_shape: Sequence[Sequence[float]],
+    ) -> list[dict]:
+        """The one chunked map behind :meth:`map_cube` and its start-
+        and bid-axis delegates (which call this body, not each other,
+        so every pool map is one call)."""
+        configs = tuple(configs)
+        bids = tuple(bids)
+        split_per_shape = [
+            np.array_split(np.asarray(starts, dtype=np.float64), self.workers)
+            for starts in starts_per_shape
+        ]
         chunks = [
-            tuple(float(s) for s in chunk)
-            for chunk in np.array_split(
-                np.asarray([float(s) for s in starts]), self.workers
-            )
-            if len(chunk)
+            tuple(tuple(float(s) for s in split[w]) for split in split_per_shape)
+            for w in range(self.workers)
         ]
-        futures = [
-            pool.submit(_run_grid_chunk, task, bids, chunk)
-            for chunk in chunks
-        ]
-        out: dict[float, list[RunRecord]] = {bid: [] for bid in bids}
-        for future in futures:
-            pairs, *extras = future.result()
-            for bid, records in pairs:
-                out[bid].extend(records)
-            self._absorb_extras(*extras)
+        out: list[dict] = [{bid: [] for bid in bids} for _ in configs]
+        for cell in self._collect(_run_cube_chunk, [
+            (task, configs, bids, per_shape) for per_shape in chunks
+            if any(per_shape)
+        ]):
+            for k, pairs in enumerate(cell):
+                for bid, records in pairs:
+                    out[k][bid].extend(records)
         return out
 
     def map_cube(
         self,
         task: CellTask,
         configs: Sequence,
-        bids: Sequence[float],
+        bids: Sequence,
         starts_per_shape: Sequence[Sequence[float]],
     ) -> list[dict[float, list[RunRecord]]]:
         """Run a fused (shape x bid x start) cube over the pool.
 
         Every shape's start grid splits into one contiguous chunk per
-        worker (start order preserved); chunk w carries shape k's w-th
-        slice for *all* shapes, so each worker still advances a full
-        shape ladder in one lockstep pass
+        worker (start order preserved); chunk w carries the w-th slice
+        of *all* shapes, so each worker still advances a full shape
+        ladder in one lockstep pass
         (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube_cell`)
-        and the zone-dynamics column sharing survives the fan-out.  The
-        ordered merge reproduces, per shape, the serial fused tile —
-        and therefore per-bid scalar runs — record for record.
+        and the zone-dynamics column sharing survives the fan-out.
+        Per-start seeding means chunk boundaries cannot change any run,
+        so the ordered merge reproduces, per shape, the serial cube —
+        and therefore per-run scalar runs — record for record.
         """
-        pool = self._ensure_pool()
-        configs = tuple(configs)
-        bids = tuple(float(b) for b in bids)
-        split_per_shape = [
-            np.array_split(
-                np.asarray([float(s) for s in starts]), self.workers
-            )
-            for starts in starts_per_shape
-        ]
-        chunks = []
-        for w in range(self.workers):
-            per_shape = tuple(
-                tuple(float(s) for s in split_per_shape[k][w])
-                for k in range(len(configs))
-            )
-            if any(per_shape):
-                chunks.append(per_shape)
-        futures = [
-            pool.submit(_run_cube_chunk, task, configs, bids, per_shape)
-            for per_shape in chunks
-        ]
-        out: list[dict[float, list[RunRecord]]] = [
-            {bid: [] for bid in bids} for _ in configs
-        ]
-        for future in futures:
-            cell, *extras = future.result()
-            for k, pairs in enumerate(cell):
-                for bid, records in pairs:
-                    out[k][bid].extend(records)
-            self._absorb_extras(*extras)
-        return out
+        return self._map_cube(task, configs, bids, starts_per_shape)
+
+    def map_grid(
+        self, task: CellTask, bids: Sequence[float], starts: Sequence[float]
+    ) -> dict[float, list[RunRecord]]:
+        """A fused (bid x start) tile: the 1xBxS case of :meth:`map_cube`."""
+        return self._map_cube(task, [task.config], bids, [starts])[0]
 
     def map_start_axis(
         self, task: CellTask, starts: Sequence[float]
     ) -> list[RunRecord]:
-        """Run one single-zone cell's batched start axis over the pool.
-
-        The start grid splits into one contiguous chunk per worker
-        (start order preserved), each chunk runs as one vector-engine
-        batch, and the ordered merge reproduces the serial path's
-        records — values and order — exactly: per-start seeding means
-        chunk boundaries cannot change any run.
-        """
-        pool = self._ensure_pool()
-        starts = [float(s) for s in starts]
-        chunks = [
-            tuple(float(s) for s in chunk)
-            for chunk in np.array_split(np.asarray(starts), self.workers)
-            if len(chunk)
-        ]
-        futures = [
-            pool.submit(_run_start_axis_chunk, task, chunk)
-            for chunk in chunks
-        ]
-        records: list[RunRecord] = []
-        for future in futures:
-            chunk_records, *extras = future.result()
-            records.extend(chunk_records)
-            self._absorb_extras(*extras)
-        return records
+        """One cell's start axis: the 1x1xS case of :meth:`map_cube`."""
+        return self._map_cube(task, [task.config], [task.bid], [starts])[0][task.bid]
 
     def drain_audit(self) -> AuditReport:
         """Hand off (and clear) the audit reports workers shipped back."""

@@ -13,23 +13,33 @@ exposes the run shapes the figures need:
 * Large-bid sweeps over the control threshold L.
 
 Every grid cell decomposes into independent per-start units of work —
-a :class:`CellTask` plus one start offset — which is both the serial
-execution order and the unit the parallel sweep executor
-(:mod:`repro.experiments.parallel`) fans out over worker processes.
-Per-start seeding is derived from the start offset alone, so the two
-paths produce identical records.
+a :class:`CellTask` plus one start offset.  Per-start seeding is derived
+from the start offset alone, so every execution path produces identical
+records:
+
+* per run: :meth:`ExperimentRunner.run_cell` simulates one (task, start)
+  unit — the scalar and audited path, and the unit
+  :meth:`~repro.experiments.parallel.SweepExecutor.map_cells` fans out;
+* per cube: :meth:`ExperimentRunner.run_cube_cell` advances a whole
+  (shape x bid x start) cube through the vector engine in lockstep.  A
+  start axis is a 1x1xS cube and a bid axis a 1xBxS cube, so every
+  vector-served shape — single-zone, redundant, Adaptive and Large-bid
+  start axes, fused bid grids and deadline ladders — takes this one
+  path, and :meth:`~repro.experiments.parallel.SweepExecutor.map_cube`
+  splits it into one contiguous start-chunk per worker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.app.workload import ExperimentConfig
 from repro.core.adaptive import AdaptiveController
-from repro.core.bid_batch import bid_equivalence_classes
+from repro.core.bid_batch import bid_equivalence_classes, cube_layout
 from repro.core.edge import RisingEdgePolicy
 from repro.core.engine import SpotSimulator
 from repro.core.large_bid import LargeBidPolicy
@@ -60,6 +70,11 @@ POLICY_FACTORIES: dict[str, Callable[[], CheckpointPolicy]] = {
 #: Policies the paper keeps after Section 6 (Edge and Threshold are
 #: dropped for high recovery costs).
 RETAINED_POLICIES: tuple[str, ...] = ("periodic", "markov-daly")
+
+
+def _unique_bids(bids: Sequence[float]) -> list[float]:
+    """``bids`` as floats, duplicates dropped, first occurrence order."""
+    return list(dict.fromkeys(float(b) for b in bids))
 
 
 def _rebid(record: RunRecord, bid: float) -> RunRecord:
@@ -116,8 +131,8 @@ class ExperimentRunner:
     engine_mode:
         ``"fast"`` (default) uses the engine's segment-skipping
         scheduler; ``"tick"`` forces the reference tick-by-tick loop
-        (for debugging); ``"vector"`` batches each single-zone cell's
-        whole start axis through the struct-of-arrays engine
+        (for debugging); ``"vector"`` runs each cell's whole start (and
+        bid) axis as one cube through the struct-of-arrays engine
         (:mod:`repro.core.vector_engine`), falling back to per-run
         fast simulation for everything the vector path can't express.
         Results are bit-identical across all three.
@@ -132,10 +147,10 @@ class ExperimentRunner:
     trace, eval_start:
         Prebuilt evaluation window.  Defaults to
         :func:`~repro.traces.library.evaluation_window` on
-        ``window``/``seed``; sweep workers attached to a shared-memory
-        arena pass the mapped (zero-copy) trace instead so each process
-        skips regenerating the archive.  The arrays must equal the
-        generated window's — results are bit-identical either way.
+        ``window``/``seed``.  Sweep workers simulate this runner's own
+        trace: the executor publishes it (zero-copy through a
+        shared-memory arena where available) rather than regenerating
+        a window from ``window``/``seed``.
     cache_dir, cache:
         Cross-run memoization (:mod:`repro.experiments.cache`).
         ``cache_dir`` adds a persistent on-disk layer so warm figure
@@ -255,21 +270,11 @@ class ExperimentRunner:
     # -- parallel execution ------------------------------------------------
 
     def with_workers(self, workers: int) -> "ExperimentRunner":
-        """A runner over the same window/seed with a different degree of
-        parallelism (the window trace is cached, so this is cheap)."""
+        """This runner — same window, trace, seed, cache and audit
+        settings — with a different degree of parallelism."""
         if workers == self.workers:
             return self
-        return ExperimentRunner(
-            self.window,
-            num_experiments=self.num_experiments,
-            seed=self.seed,
-            queue_model=self.queue_model,
-            workers=workers,
-            engine_mode=self.engine_mode,
-            audit=self.audit,
-            audit_out=self.audit_out,
-            cache_dir=self.cache_dir,
-        )
+        return replace(self, workers=workers)
 
     @property
     def executor(self):
@@ -287,6 +292,8 @@ class ExperimentRunner:
                 audit=self.audit,
                 audit_out=self.audit_out,
                 cache_dir=self.cache_dir,
+                trace=self.trace,
+                eval_start=self.eval_start,
             )
         return self._executor
 
@@ -420,83 +427,178 @@ class ExperimentRunner:
             return records
         raise ValueError(f"unknown cell task kind {task.kind!r}")
 
+    def run_cube_cell(
+        self,
+        task: CellTask,
+        configs: Sequence[ExperimentConfig],
+        bids: Sequence[float | None],
+        starts_per_shape: Sequence[Sequence[float]],
+    ) -> list[list[tuple[float | None, list[RunRecord]]]]:
+        """One contiguous start-chunk of a (shape x bid x start) cube
+        through the vector engine; the parallel chunk entry point.
+
+        The only runner body that calls the vector engine.  Rows follow
+        :func:`~repro.core.bid_batch.cube_layout` (shape-major, then
+        start-major over the bid grid), each with the fresh
+        :meth:`_start_rng` stream a per-run ``run_cell`` would build,
+        shared across a merged single-zone cell's zone waves so queue
+        delays are drawn in the serial order.  Bid-invariant policies
+        clone bid-equivalent rows per (shape, start).  Large-bid rows
+        run at ``LARGE_BID`` and Adaptive rows at the controller's bids
+        (through ``run_adaptive_cube``), whatever ``bids`` holds — a
+        start axis of either is ``[task.bid]``.  Returns, per shape,
+        ``(bid, records)`` pairs over ``bids``; per bid the records are
+        start-major, zone-minor — bit-identical, values and order, to
+        per-run ``run_cell`` calls.
+        """
+        zones = None
+        if task.kind in ("single-zone", "redundant"):
+            factory = POLICY_FACTORIES[task.policy_label]
+            if task.kind == "single-zone":
+                zones = tuple(task.zones)
+                waves = [(task.policy_label, (zone,)) for zone in zones]
+            else:
+                zones = tuple(self.trace.zone_names[: task.num_zones])
+                waves = [(f"{task.policy_label}-r{task.num_zones}", zones)]
+        elif task.kind == "large-bid":
+            factory = (
+                naive_policy
+                if task.threshold is None
+                else partial(LargeBidPolicy, task.threshold)
+            )
+            waves = [(factory().name, (zone,)) for zone in task.zones]
+        elif task.kind == "adaptive":
+            waves = [("adaptive", None)]
+        else:
+            raise ValueError(
+                "cube batching (start-axis batching included) is undefined "
+                f"for cell kind {task.kind!r}"
+            )
+        configs = list(configs)
+        bids = list(bids)
+        layout = cube_layout(
+            self.trace, zones, configs, bids, starts_per_shape,
+            bid_invariant=zones is not None and factory().bid_invariant,
+        )
+        rngs = [self._start_rng(start) for start in layout.row_starts]
+        vec = self.vector
+        row_bids = layout.row_bids
+        if task.kind == "adaptive":
+            per_wave = [vec.run_adaptive_cube(
+                configs, task.controller_factory or AdaptiveController,
+                layout.shape_idx, layout.row_starts, rngs,
+            )]
+        else:
+            if task.kind == "large-bid":
+                row_bids = [LARGE_BID] * len(row_bids)
+            per_wave = [
+                vec.run_cube(configs, factory, wave_zones, layout.shape_idx,
+                             row_bids, layout.row_starts, rngs,
+                             clone_of=layout.clone_of)
+                for _, wave_zones in waves
+            ]
+        nb = len(bids)
+        out: list[list[tuple[float | None, list[RunRecord]]]] = []
+        for k, shape_starts in enumerate(starts_per_shape):
+            pairs = []
+            for bj, bid in enumerate(bids):
+                records = []
+                for si, start in enumerate(shape_starts):
+                    row = layout.row0[k] + si * nb + bj
+                    for (label, _), results in zip(waves, per_wave):
+                        result = results[row]
+                        records.append(self._record(
+                            label, configs[k],
+                            result.bid if task.kind == "adaptive" else row_bids[row],
+                            float(start), result,
+                        ))
+                pairs.append((bid, records))
+            out.append(pairs)
+        return out
+
     def run_start_axis_cells(
         self, task: CellTask, starts: Sequence[float]
     ) -> list[RunRecord]:
-        """Batch one cell's ``starts`` through the struct-of-arrays
-        engine; the parallel chunk entry point.
+        """One cell's ``starts`` as a 1x1xS cube (:meth:`run_cube_cell`)."""
+        return self.run_cube_cell(task, [task.config], [task.bid], [starts])[0][0][1]
 
-        One RNG per start (the same :meth:`_start_rng` stream the
-        per-run path uses) shared across the cell's zone waves, so a
-        merged three-zone cell draws queue delays in exactly the order
-        the serial ``run_cell`` loop would.  Single-zone and Large-bid
-        records come back start-major, zone-minor — the serial order;
-        redundant cells run all their zones as one multi-zone batch;
-        Adaptive cells batch the whole axis through
-        :meth:`~repro.core.vector_engine.VectorSimulator.run_adaptive_cube`.
+    def run_grid_cell(
+        self, task: CellTask, bids: Sequence[float], starts: Sequence[float]
+    ) -> list[tuple[float, list[RunRecord]]]:
+        """One cell's (bid x start) tile as a 1xBxS cube (:meth:`run_cube_cell`)."""
+        return self.run_cube_cell(task, [task.config], bids, [starts])[0]
+
+    def _cube(
+        self,
+        task: CellTask,
+        configs: Sequence[ExperimentConfig],
+        bids: Sequence[float | None],
+    ) -> list[dict[float | None, list[RunRecord]]]:
+        """Every start of ``task`` at each of ``configs`` x ``bids``:
+        the one dispatcher of the cube path.
+
+        Serially one :meth:`run_cube_cell` pass; with workers, one
+        contiguous start-chunk per worker through
+        :meth:`~repro.experiments.parallel.SweepExecutor.map_cube`.
+        Audited runners fall back to per-run simulation so the auditor
+        observes every run.  Returns one ``{bid: records}`` dict per
+        shape, in ``configs`` order.
         """
-        if task.kind not in ("single-zone", "redundant", "adaptive",
-                             "large-bid"):
-            raise ValueError(
-                f"start-axis batching is undefined for cell kind {task.kind!r}"
-            )
-        config = task.config
-        starts = [float(s) for s in starts]
-        rngs = [self._start_rng(s) for s in starts]
-        shape_idx = [0] * len(starts)
-        vec = self.vector
-        if task.kind == "adaptive":
-            controller_factory = task.controller_factory or AdaptiveController
-            results = vec.run_adaptive_cube(
-                [config], controller_factory, shape_idx, starts, rngs
-            )
+        if self.audit:
             return [
-                self._record("adaptive", config, results[i].bid, start,
-                             results[i])
-                for i, start in enumerate(starts)
+                {bid: self._run_grid(replace(task, config=config, bid=bid))
+                 for bid in bids}
+                for config in configs
             ]
-        if task.kind == "large-bid":
-            if task.threshold is None:
-                policy_factory = naive_policy
-            else:
-                policy_factory = lambda: LargeBidPolicy(task.threshold)  # noqa: E731
-            label = policy_factory().name
-            per_zone = [
-                vec.run_cube([config], policy_factory, (zone,), shape_idx,
-                             [LARGE_BID] * len(starts), starts, rngs)
-                for zone in task.zones
-            ]
-            records = []
-            for i, start in enumerate(starts):
-                for results in per_zone:
-                    records.append(
-                        self._record(label, config, LARGE_BID, start,
-                                     results[i])
-                    )
-            return records
-        factory = POLICY_FACTORIES[task.policy_label]
-        if task.kind == "single-zone":
-            per_zone = [
-                vec.run_cube([config], factory, (zone,), shape_idx,
-                             [task.bid] * len(starts), starts, rngs)
-                for zone in task.zones
-            ]
-            records = []
-            for i, start in enumerate(starts):
-                for results in per_zone:
-                    records.append(
-                        self._record(task.policy_label, config, task.bid,
-                                     start, results[i])
-                    )
-            return records
-        zones = tuple(self.trace.zone_names[: task.num_zones])
-        label = f"{task.policy_label}-r{task.num_zones}"
-        results = vec.run_cube([config], factory, zones, shape_idx,
-                               [task.bid] * len(starts), starts, rngs)
-        return [
-            self._record(label, config, task.bid, start, results[i])
-            for i, start in enumerate(starts)
+        starts_per_shape = [
+            [float(s) for s in self.starts(config)] for config in configs
         ]
+        if self.workers > 1 and max(len(s) for s in starts_per_shape) > 1:
+            return self.executor.map_cube(task, configs, bids,
+                                          starts_per_shape)
+        return [
+            dict(pairs)
+            for pairs in self.run_cube_cell(task, configs, bids,
+                                            starts_per_shape)
+        ]
+
+    def _run_grid(self, task: CellTask) -> list[RunRecord]:
+        """All starts of one cell — serial, or fanned out over workers.
+
+        Under ``engine_mode="vector"`` the start axis is a 1x1xS cube
+        (:meth:`_cube`); otherwise every start runs through
+        :meth:`run_cell`.  The parallel path merges worker results in
+        start order, so the returned records are identical (values and
+        order) to a serial run.
+        """
+        if self.engine_mode == "vector" and not self.audit:
+            return self._cube(task, [task.config], [task.bid])[0][task.bid]
+        starts = [float(s) for s in self.starts(task.config)]
+        if self.workers > 1 and len(starts) > 1:
+            return self.executor.map_cells(task, starts)
+        records = []
+        for start in starts:
+            records.extend(self.run_cell(task, start))
+        return records
+
+    def _axis_task(
+        self,
+        policy_label: str,
+        config: ExperimentConfig,
+        zones: Sequence[str] | None,
+        redundant: bool,
+        num_zones: int,
+        bid: float | None = None,
+    ) -> CellTask:
+        """The single-zone (merged over ``zones``, default all) or
+        redundant cell task of one policy."""
+        if redundant:
+            return CellTask(kind="redundant", config=config,
+                            policy_label=policy_label, bid=bid,
+                            num_zones=num_zones)
+        zones = tuple(zones) if zones is not None else self.trace.zone_names
+        return CellTask(kind="single-zone", config=config,
+                        policy_label=policy_label, bid=bid, zones=zones)
 
     def run_start_axis(
         self,
@@ -505,51 +607,13 @@ class ExperimentRunner:
         bid: float,
         zones: Sequence[str] | None = None,
     ) -> list[RunRecord]:
-        """One single-zone cell over the full start grid, batched.
+        """One single-zone cell over the full start grid as a 1x1xS cube.
 
-        Same records — values and order — as :meth:`run_single_zone`;
-        the start axis is served by the struct-of-arrays engine (with
-        per-run scalar fallback where the vector path doesn't apply)
-        regardless of ``engine_mode``.  Audited runners fall back to
-        per-run simulation so the auditor observes every run.
+        Same records — values and order — as :meth:`run_single_zone`,
+        served by the vector engine regardless of ``engine_mode``.
         """
-        zones = tuple(zones) if zones is not None else self.trace.zone_names
-        task = CellTask(kind="single-zone", config=config,
-                        policy_label=policy_label, bid=bid, zones=zones)
-        if self.audit:
-            return self._run_grid(task)
-        starts = [float(s) for s in self.starts(config)]
-        if self.workers > 1 and len(starts) > 1:
-            return self.executor.map_start_axis(task, starts)
-        return self.run_start_axis_cells(task, starts)
-
-    def _run_grid(self, task: CellTask) -> list[RunRecord]:
-        """All starts of one cell — serial, or fanned out over workers.
-
-        The parallel path merges worker results in start order, so the
-        returned records are identical (values and order) to a serial
-        run.  Under ``engine_mode="vector"`` single-zone, redundant,
-        Adaptive and Large-bid cells route through the start-axis batch
-        engine instead of the per-start loop (audited runners excepted
-        — the vector path has no audit hooks, so those runs stay
-        per-run on the fast engine).
-        """
-        starts = [float(s) for s in self.starts(task.config)]
-        if (
-            self.engine_mode == "vector"
-            and task.kind in ("single-zone", "redundant", "adaptive",
-                              "large-bid")
-            and not self.audit
-        ):
-            if self.workers > 1 and len(starts) > 1:
-                return self.executor.map_start_axis(task, starts)
-            return self.run_start_axis_cells(task, starts)
-        if self.workers > 1 and len(starts) > 1:
-            return self.executor.map_cells(task, starts)
-        records = []
-        for start in starts:
-            records.extend(self.run_cell(task, start))
-        return records
+        task = self._axis_task(policy_label, config, zones, False, 3, bid)
+        return self._cube(task, [config], [bid])[0][bid]
 
     # -- batched bid axis --------------------------------------------------
 
@@ -602,34 +666,26 @@ class ExperimentRunner:
         zones: Sequence[str] | None = None,
         redundant: bool = False,
         num_zones: int = 3,
-        batched: bool = True,
     ) -> dict[float, list[RunRecord]]:
         """All bid levels of one sweep cell, sharing work across bids.
 
-        For bid-invariant policies the batched engine runs one
-        representative per equivalence class and clones the rest (see
-        :meth:`run_bid_axis_cell`); the per-bid record lists — values
-        *and* order — are identical to ``run_single_zone`` /
-        ``run_redundant`` called once per bid.  Policies whose
-        decisions consume the bid numerically (Markov-Daly's MTBF,
-        Threshold's price target) fall back to exactly those per-bid
-        runs automatically, as does ``batched=False`` (the benchmark
-        baseline).  Returns ``{bid: records}`` over the unique bids.
+        The per-bid record lists — values *and* order — are identical
+        to ``run_single_zone`` / ``run_redundant`` called once per bid.
+        Under ``engine_mode="vector"`` the axis is a 1xBxS cube.
+        Otherwise bid-invariant policies run one representative per
+        equivalence class and clone the rest (see
+        :meth:`run_bid_axis_cell`); policies whose decisions consume
+        the bid numerically (Markov-Daly's MTBF, Threshold's price
+        target) and audited runners, whose auditor must observe every
+        run, go per bid.  Returns ``{bid: records}`` over the unique
+        bids.
         """
-        bids = [float(b) for b in dict.fromkeys(float(b) for b in bids)]
-        if batched and self.engine_mode == "vector" and not self.audit:
-            # one fused (bid x start) lockstep tile per cell; identical
-            # records, bid-equivalence clones included
-            return self.run_grid(policy_label, config, bids, zones=zones,
-                                 redundant=redundant, num_zones=num_zones)
-        if redundant:
-            task = CellTask(kind="redundant", config=config,
-                            policy_label=policy_label, num_zones=num_zones)
-        else:
-            cell_zones = tuple(zones) if zones is not None else self.trace.zone_names
-            task = CellTask(kind="single-zone", config=config,
-                            policy_label=policy_label, zones=cell_zones)
-        if not (batched and POLICY_FACTORIES[policy_label]().bid_invariant):
+        bids = _unique_bids(bids)
+        task = self._axis_task(policy_label, config, zones, redundant,
+                               num_zones)
+        if self.engine_mode == "vector":
+            return self._cube(task, [config], bids)[0]
+        if self.audit or not POLICY_FACTORIES[policy_label]().bid_invariant:
             return {
                 bid: self._run_grid(replace(task, bid=bid)) for bid in bids
             }
@@ -642,75 +698,7 @@ class ExperimentRunner:
                 out[bid].extend(records)
         return out
 
-    # -- fused (bid x start) grid ------------------------------------------
-
-    def run_grid_cell(
-        self, task: CellTask, bids: Sequence[float], starts: Sequence[float]
-    ) -> list[tuple[float, list[RunRecord]]]:
-        """One contiguous start-chunk of a fused (bid x start) tile;
-        the parallel grid-chunk entry point.
-
-        The whole tile advances through the vector engine in lockstep:
-        rows are laid out start-major over the bid grid, each row gets
-        the fresh per-start RNG a per-(bid, start) ``run_cell`` would
-        build, and — for bid-invariant policies — the availability
-        equivalence classes of :mod:`repro.core.bid_batch` collapse to
-        one simulated representative per (class, start) with the other
-        rows cloned inside the engine, exactly as
-        :meth:`run_bid_axis_cell` clones records.  Returns ``(bid,
-        records)`` pairs over the given bids; per bid the records are
-        start-major (and zone-minor for merged single-zone cells) —
-        bit-identical, values and order, to per-bid scalar runs.
-        """
-        if task.kind == "single-zone":
-            cell_zones = task.zones
-            waves = [(task.policy_label, (zone,)) for zone in task.zones]
-        elif task.kind == "redundant":
-            cell_zones = tuple(self.trace.zone_names[: task.num_zones])
-            waves = [(f"{task.policy_label}-r{task.num_zones}", cell_zones)]
-        else:
-            raise ValueError(
-                f"grid batching is undefined for cell kind {task.kind!r}"
-            )
-        factory = POLICY_FACTORIES[task.policy_label]
-        config = task.config
-        bids = [float(b) for b in bids]
-        starts = [float(s) for s in starts]
-        nb = len(bids)
-        bcol = {bid: j for j, bid in enumerate(bids)}
-        row_bids = [bid for _ in starts for bid in bids]
-        row_starts = [start for start in starts for _ in bids]
-        rngs = [self._start_rng(start) for start in row_starts]
-        clone_of = None
-        if nb > 1 and factory().bid_invariant:
-            clone_of = [None] * (nb * len(starts))
-            for si, start in enumerate(starts):
-                classes = bid_equivalence_classes(
-                    self.trace, cell_zones, bids, start, config.deadline_s
-                )
-                for cls in classes:
-                    rep_row = si * nb + bcol[cls.representative]
-                    for bid in cls.members:
-                        if bid != cls.representative:
-                            clone_of[si * nb + bcol[bid]] = rep_row
-        vec = self.vector
-        per_wave = [
-            vec.run_cube([config], factory, wave_zones,
-                         [0] * len(row_starts), row_bids, row_starts, rngs,
-                         clone_of=clone_of)
-            for _, wave_zones in waves
-        ]
-        pairs: list[tuple[float, list[RunRecord]]] = []
-        for bj, bid in enumerate(bids):
-            records = []
-            for si, start in enumerate(starts):
-                for (label, _), results in zip(waves, per_wave):
-                    records.append(
-                        self._record(label, config, bid, start,
-                                     results[si * nb + bj])
-                    )
-            pairs.append((bid, records))
-        return pairs
+    # -- fused cubes -------------------------------------------------------
 
     def run_grid(
         self,
@@ -721,122 +709,12 @@ class ExperimentRunner:
         redundant: bool = False,
         num_zones: int = 3,
     ) -> dict[float, list[RunRecord]]:
-        """One (policy, zone-set) cell over the full (bid x start) grid,
-        fused through the vector engine.
-
-        Same per-bid record lists — values *and* order — as
-        :meth:`run_single_zone` / :meth:`run_redundant` called once per
-        bid, regardless of ``engine_mode``; the whole grid advances in
-        lockstep instead (with per-run scalar fallback inside the
-        engine wherever the native path doesn't apply).  Audited
-        runners fall back to per-run simulation so the auditor
-        observes every run.  Returns ``{bid: records}`` over the
-        unique bids.
-        """
-        bids = [float(b) for b in dict.fromkeys(float(b) for b in bids)]
-        if redundant:
-            task = CellTask(kind="redundant", config=config,
-                            policy_label=policy_label, num_zones=num_zones)
-        else:
-            cell_zones = tuple(zones) if zones is not None else self.trace.zone_names
-            task = CellTask(kind="single-zone", config=config,
-                            policy_label=policy_label, zones=cell_zones)
-        if self.audit:
-            return {
-                bid: self._run_grid(replace(task, bid=bid)) for bid in bids
-            }
-        starts = [float(s) for s in self.starts(config)]
-        if self.workers > 1 and len(starts) > 1:
-            return self.executor.map_grid(task, bids, starts)
-        out: dict[float, list[RunRecord]] = {bid: [] for bid in bids}
-        for bid, records in self.run_grid_cell(task, bids, starts):
-            out[bid].extend(records)
-        return out
-
-    # -- fused (shape x bid x start) cube ----------------------------------
-
-    def run_cube_cell(
-        self,
-        task: CellTask,
-        configs: Sequence[ExperimentConfig],
-        bids: Sequence[float],
-        starts_per_shape: Sequence[Sequence[float]],
-    ) -> list[list[tuple[float, list[RunRecord]]]]:
-        """One contiguous start-chunk of a fused (shape x bid x start)
-        cube; the parallel cube-chunk entry point.
-
-        Each job shape brings its own start list (the overlapping-start
-        grid depends on the deadline), laid out shape-major over the
-        per-shape (bid x start) tiles of :meth:`run_grid_cell`; the
-        whole cube advances through the vector engine in one lockstep
-        pass, with bid-equivalence clones resolved per (shape, start)
-        so clones never cross shapes.  Returns, per shape, the same
-        ``(bid, records)`` pairs ``run_grid_cell`` would produce for
-        that shape alone — bit-identical, values and order.
-        """
-        if task.kind == "single-zone":
-            cell_zones = task.zones
-            waves = [(task.policy_label, (zone,)) for zone in task.zones]
-        elif task.kind == "redundant":
-            cell_zones = tuple(self.trace.zone_names[: task.num_zones])
-            waves = [(f"{task.policy_label}-r{task.num_zones}", cell_zones)]
-        else:
-            raise ValueError(
-                f"cube batching is undefined for cell kind {task.kind!r}"
-            )
-        factory = POLICY_FACTORIES[task.policy_label]
-        configs = list(configs)
-        bids = [float(b) for b in bids]
-        nb = len(bids)
-        bcol = {bid: j for j, bid in enumerate(bids)}
-        shape_idx: list[int] = []
-        row_bids: list[float] = []
-        row_starts: list[float] = []
-        row0: list[int] = []  # first row of each shape's tile
-        for k, shape_starts in enumerate(starts_per_shape):
-            row0.append(len(row_bids))
-            for start in shape_starts:
-                for bid in bids:
-                    shape_idx.append(k)
-                    row_bids.append(bid)
-                    row_starts.append(float(start))
-        rngs = [self._start_rng(start) for start in row_starts]
-        clone_of = None
-        if nb > 1 and factory().bid_invariant:
-            clone_of = [None] * len(row_bids)
-            for k, shape_starts in enumerate(starts_per_shape):
-                base = row0[k]
-                for si, start in enumerate(shape_starts):
-                    classes = bid_equivalence_classes(
-                        self.trace, cell_zones, bids, float(start),
-                        configs[k].deadline_s
-                    )
-                    for cls in classes:
-                        rep_row = base + si * nb + bcol[cls.representative]
-                        for bid in cls.members:
-                            if bid != cls.representative:
-                                clone_of[base + si * nb + bcol[bid]] = rep_row
-        vec = self.vector
-        per_wave = [
-            vec.run_cube(configs, factory, wave_zones, shape_idx, row_bids,
-                         row_starts, rngs, clone_of=clone_of)
-            for _, wave_zones in waves
-        ]
-        out: list[list[tuple[float, list[RunRecord]]]] = []
-        for k, shape_starts in enumerate(starts_per_shape):
-            base = row0[k]
-            pairs: list[tuple[float, list[RunRecord]]] = []
-            for bj, bid in enumerate(bids):
-                records = []
-                for si, start in enumerate(shape_starts):
-                    for (label, _), results in zip(waves, per_wave):
-                        records.append(
-                            self._record(label, configs[k], bid, float(start),
-                                         results[base + si * nb + bj])
-                        )
-                pairs.append((bid, records))
-            out.append(pairs)
-        return out
+        """One (policy, zone-set) cell over the full (bid x start) grid
+        as a 1xBxS cube; same per-bid records as :meth:`run_cube` with
+        one shape."""
+        task = self._axis_task(policy_label, config, zones, redundant,
+                               num_zones)
+        return self._cube(task, [config], _unique_bids(bids))[0]
 
     def run_cube(
         self,
@@ -851,44 +729,21 @@ class ExperimentRunner:
         start) cube — a deadline ladder in one lockstep pass.
 
         Per shape, same ``{bid: records}`` — values *and* order — as
-        :meth:`run_grid` called once per shape, regardless of
-        ``engine_mode``; the shape rows share the zone-dynamics column
-        work inside the vector engine instead.  Audited runners fall
-        back to per-run simulation so the auditor observes every run.
-        Returns one ``{bid: records}`` dict per shape, in ``configs``
-        order.
+        :meth:`run_single_zone` / :meth:`run_redundant` called once per
+        (shape, bid), regardless of ``engine_mode``; the shape rows
+        share the zone-dynamics column work inside the vector engine
+        instead (with per-run scalar fallback inside the engine wherever
+        the native path doesn't apply).  Audited runners fall back to
+        per-run simulation so the auditor observes every run.  Returns
+        one ``{bid: records}`` dict per shape, in ``configs`` order,
+        over the unique bids.
         """
         configs = list(configs)
         if not configs:
             raise ValueError("at least one job shape is required")
-        bids = [float(b) for b in dict.fromkeys(float(b) for b in bids)]
-        if redundant:
-            task = CellTask(kind="redundant", config=configs[0],
-                            policy_label=policy_label, num_zones=num_zones)
-        else:
-            cell_zones = tuple(zones) if zones is not None else self.trace.zone_names
-            task = CellTask(kind="single-zone", config=configs[0],
-                            policy_label=policy_label, zones=cell_zones)
-        if self.audit:
-            return [
-                {bid: self._run_grid(replace(task, config=config, bid=bid))
-                 for bid in bids}
-                for config in configs
-            ]
-        starts_per_shape = [
-            [float(s) for s in self.starts(config)] for config in configs
-        ]
-        if self.workers > 1 and max(len(s) for s in starts_per_shape) > 1:
-            return self.executor.map_cube(task, configs, bids,
-                                          starts_per_shape)
-        out: list[dict[float, list[RunRecord]]] = [
-            {bid: [] for bid in bids} for _ in configs
-        ]
-        cell = self.run_cube_cell(task, configs, bids, starts_per_shape)
-        for k, pairs in enumerate(cell):
-            for bid, records in pairs:
-                out[k][bid].extend(records)
-        return out
+        task = self._axis_task(policy_label, configs[0], zones, redundant,
+                               num_zones)
+        return self._cube(task, configs, _unique_bids(bids))
 
     # -- grid cells -------------------------------------------------------
 
@@ -905,10 +760,8 @@ class ExperimentRunner:
         zones, matching "we merge the results from all three individual
         zones ... to generate one boxplot".
         """
-        zones = tuple(zones) if zones is not None else self.trace.zone_names
         return self._run_grid(
-            CellTask(kind="single-zone", config=config,
-                     policy_label=policy_label, bid=bid, zones=zones)
+            self._axis_task(policy_label, config, zones, False, 3, bid)
         )
 
     def run_redundant(
@@ -920,8 +773,7 @@ class ExperimentRunner:
     ) -> list[RunRecord]:
         """One redundancy-based policy over the first ``num_zones`` zones."""
         return self._run_grid(
-            CellTask(kind="redundant", config=config,
-                     policy_label=policy_label, bid=bid, num_zones=num_zones)
+            self._axis_task(policy_label, config, None, True, num_zones, bid)
         )
 
     def run_best_redundant(

@@ -23,7 +23,7 @@ from repro.audit.differential import (
     VectorDifferentialReport,
     diff_log_vs_audit_stream,
     vector_differential_adaptive,
-    vector_differential_grid,
+    vector_differential_cube,
     vector_differential_run,
 )
 from repro.core.adaptive import AdaptiveController
@@ -155,8 +155,8 @@ def test_vector_differential_fused_grid(
     zone = trace.zone_names[0]
     bids = [0.27, 0.35, 0.81]
     starts = [eval_start, eval_start + 14400.0]
-    report = vector_differential_grid(
-        trace, config, factory, bids, (zone,), starts
+    report = vector_differential_cube(
+        trace, [config], factory, bids, (zone,), [starts]
     )
     assert report.ok, "\n".join(report.summary_lines())
     assert len(report.vector_results) == len(bids) * len(starts)
@@ -166,9 +166,9 @@ def test_vector_differential_grid_multi_zone(low_window, config):
     """A fused tile over a merged two-zone cell."""
     trace, eval_start = low_window
     zones = trace.zone_names[:2]
-    report = vector_differential_grid(
-        trace, config, PeriodicPolicy, [0.27, 0.81], zones,
-        [eval_start, eval_start + 7200.0],
+    report = vector_differential_cube(
+        trace, [config], PeriodicPolicy, [0.27, 0.81], zones,
+        [[eval_start, eval_start + 7200.0]],
     )
     assert report.ok, "\n".join(report.summary_lines())
 
@@ -180,9 +180,9 @@ def test_vector_differential_grid_fractional_starts(low_window, config):
     clocks)."""
     trace, eval_start = low_window
     zone = trace.zone_names[0]
-    report = vector_differential_grid(
-        trace, config, MarkovDalyPolicy, [0.40, 0.81], (zone,),
-        [eval_start, eval_start + 150.5],
+    report = vector_differential_cube(
+        trace, [config], MarkovDalyPolicy, [0.40, 0.81], (zone,),
+        [[eval_start, eval_start + 150.5]],
     )
     assert report.ok, "\n".join(report.summary_lines())
 
@@ -279,9 +279,9 @@ def test_native_shapes_hold_on_random_traces(trace, bid, policy_label,
 def test_fused_grid_holds_on_random_traces(trace, policy_label, num_zones):
     """Hypothesis: fused (bid x start) tiles — clone plans included —
     match independent audited runs on random piecewise traces."""
-    report = vector_differential_grid(
-        trace, small_config(), POLICY_FACTORIES[policy_label],
-        [0.27, 0.5, 0.81], ("za", "zb")[:num_zones], [0.0, 3600.0],
+    report = vector_differential_cube(
+        trace, [small_config()], POLICY_FACTORIES[policy_label],
+        [0.27, 0.5, 0.81], ("za", "zb")[:num_zones], [[0.0, 3600.0]],
         queue_model=FixedQueueDelay(300.0),
     )
     assert report.ok, "\n".join(report.summary_lines())

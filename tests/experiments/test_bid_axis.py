@@ -91,15 +91,15 @@ class TestBatchedEqualsPerBid:
     @pytest.mark.parametrize("label", ["periodic", "edge"])
     def test_single_zone(self, runner, config, label):
         batched = runner.run_bid_axis(label, config, BIDS)
-        per_bid = runner.run_bid_axis(label, config, BIDS, batched=False)
+        per_bid = {bid: runner.run_single_zone(label, config, bid)
+                   for bid in BIDS}
         assert batched == per_bid
 
     @pytest.mark.parametrize("label", ["periodic", "edge"])
     def test_redundant(self, runner, config, label):
         batched = runner.run_bid_axis(label, config, BIDS, redundant=True)
-        per_bid = runner.run_bid_axis(
-            label, config, BIDS, redundant=True, batched=False
-        )
+        per_bid = {bid: runner.run_redundant(label, config, bid)
+                   for bid in BIDS}
         assert batched == per_bid
 
     def test_per_bid_matches_plain_grids(self, runner, config):
@@ -127,7 +127,8 @@ class TestBatchedEqualsPerBid:
     def test_high_window_grid(self, config):
         runner = ExperimentRunner("high", num_experiments=3)
         batched = runner.run_bid_axis("periodic", config, BIDS)
-        per_bid = runner.run_bid_axis("periodic", config, BIDS, batched=False)
+        per_bid = {bid: runner.run_single_zone("periodic", config, bid)
+                   for bid in BIDS}
         assert batched == per_bid
 
     def test_duplicate_bids_collapse(self, runner, config):

@@ -156,3 +156,62 @@ class TestDrainCacheStatsContract:
             runner.run_redundant("periodic", config, 0.81)
             stats = runner.drain_cache_stats()
             assert stats is not None
+
+
+def _scaled_low_window(factor: float = 1.5):
+    """The low window with every price scaled: a market no
+    ``(window, seed)`` pair regenerates."""
+    from repro.traces.library import evaluation_window
+    from repro.traces.model import SpotPriceTrace, ZoneTrace
+
+    trace, eval_start = evaluation_window("low")
+    scaled = SpotPriceTrace(zones=tuple(
+        ZoneTrace(zone=z.zone, start_time=z.start_time,
+                  prices=z.prices * factor, interval_s=z.interval_s)
+        for z in trace.zones
+    ))
+    return scaled, eval_start
+
+
+class TestExplicitTrace:
+    """A runner built over its own trace must simulate that trace in
+    its sweep workers too, never the library window of its seed."""
+
+    @pytest.mark.parametrize("engine_mode", ["fast", "vector"])
+    def test_workers_simulate_the_runners_trace(self, config, engine_mode):
+        trace, eval_start = _scaled_low_window()
+        serial = ExperimentRunner("low", num_experiments=4, trace=trace,
+                                  eval_start=eval_start,
+                                  engine_mode=engine_mode)
+        expected = serial.run_single_zone("periodic", config, 0.81)
+        with ExperimentRunner("low", num_experiments=4, workers=2,
+                              trace=trace, eval_start=eval_start,
+                              engine_mode=engine_mode) as par:
+            assert par.run_single_zone("periodic", config, 0.81) == expected
+
+    def test_executor_without_arena_ships_the_trace(self, config):
+        trace, eval_start = _scaled_low_window()
+        serial = ExperimentRunner("low", num_experiments=4, trace=trace,
+                                  eval_start=eval_start)
+        task = CellTask(kind="redundant", config=config,
+                        policy_label="periodic", bid=0.81)
+        starts = [float(s) for s in serial.starts(config)]
+        expected = [r for s in starts for r in serial.run_cell(task, s)]
+        with SweepExecutor("low", num_experiments=4, workers=2,
+                           use_arena=False, trace=trace,
+                           eval_start=eval_start) as ex:
+            assert ex.map_cells(task, starts) == expected
+            assert ex._arena is None
+
+    def test_with_workers_keeps_trace_and_cache(self):
+        from repro.experiments.cache import RunCache
+
+        trace, eval_start = _scaled_low_window()
+        cache = RunCache(None)
+        runner = ExperimentRunner("low", num_experiments=4, trace=trace,
+                                  eval_start=eval_start, cache=cache)
+        widened = runner.with_workers(2)
+        assert widened.workers == 2
+        assert widened.trace is trace
+        assert widened.eval_start == eval_start
+        assert widened.cache is cache

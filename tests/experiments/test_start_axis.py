@@ -182,8 +182,10 @@ def test_drain_cache_stats_none_without_cache(fast_runner):
 
 def test_vector_bid_axis_unbatched_routes_through_vector(vector_runner,
                                                          fast_runner, config):
-    """run_bid_axis(batched=False) per-bid grids ride the vector path."""
+    """Per-bid grids (one run_single_zone per bid) ride the vector path."""
     bids = (0.27, 0.81)
-    a = fast_runner.run_bid_axis("periodic", config, bids, batched=False)
-    b = vector_runner.run_bid_axis("periodic", config, bids, batched=False)
+    a = {bid: fast_runner.run_single_zone("periodic", config, bid)
+         for bid in bids}
+    b = {bid: vector_runner.run_single_zone("periodic", config, bid)
+         for bid in bids}
     assert a == b
