@@ -14,6 +14,7 @@ applies.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,10 +45,17 @@ def _point(value, records: Sequence[RunRecord]) -> SweepPoint:
     )
 
 
-def _with_workers(
-    runner: ExperimentRunner, workers: int | None
-) -> ExperimentRunner:
-    return runner if workers is None else runner.with_workers(workers)
+@contextmanager
+def _with_workers(runner: ExperimentRunner, workers: int | None):
+    """``runner`` widened to ``workers``; a runner widened here is
+    closed on exit (its pool and shared-memory arena released), the
+    caller's own runner never is."""
+    widened = runner if workers is None else runner.with_workers(workers)
+    try:
+        yield widened
+    finally:
+        if widened is not runner:
+            widened.close()
 
 
 def sweep_slack(
@@ -65,17 +73,17 @@ def sweep_slack(
     (more time to ride out storms before the on-demand switch) but
     barely moves medians once availability is high.
     """
-    runner = _with_workers(runner, workers)
-    points = []
-    for fraction in fractions:
-        config = paper_experiment(slack_fraction=fraction,
-                                  ckpt_cost_s=ckpt_cost_s)
-        if redundant:
-            records = runner.run_redundant(policy_label, config, bid)
-        else:
-            records = runner.run_single_zone(policy_label, config, bid)
-        points.append(_point(fraction, records))
-    return points
+    with _with_workers(runner, workers) as runner:
+        points = []
+        for fraction in fractions:
+            config = paper_experiment(slack_fraction=fraction,
+                                      ckpt_cost_s=ckpt_cost_s)
+            if redundant:
+                records = runner.run_redundant(policy_label, config, bid)
+            else:
+                records = runner.run_single_zone(policy_label, config, bid)
+            points.append(_point(fraction, records))
+        return points
 
 
 def sweep_ckpt_cost(
@@ -88,17 +96,17 @@ def sweep_ckpt_cost(
     workers: int | None = None,
 ) -> list[SweepPoint]:
     """Cost vs. checkpoint cost t_c (the Tables 2→3 axis, densified)."""
-    runner = _with_workers(runner, workers)
-    points = []
-    for tc in costs_s:
-        config = paper_experiment(slack_fraction=slack_fraction,
-                                  ckpt_cost_s=tc)
-        if redundant:
-            records = runner.run_redundant(policy_label, config, bid)
-        else:
-            records = runner.run_single_zone(policy_label, config, bid)
-        points.append(_point(tc, records))
-    return points
+    with _with_workers(runner, workers) as runner:
+        points = []
+        for tc in costs_s:
+            config = paper_experiment(slack_fraction=slack_fraction,
+                                      ckpt_cost_s=tc)
+            if redundant:
+                records = runner.run_redundant(policy_label, config, bid)
+            else:
+                records = runner.run_single_zone(policy_label, config, bid)
+            points.append(_point(tc, records))
+        return points
 
 
 def sweep_bid(
@@ -120,11 +128,11 @@ def sweep_bid(
     per start instead of once per bid, with identical per-point
     records; other policies (and audited runners) execute per bid.
     """
-    runner = _with_workers(runner, workers)
-    config = paper_experiment(slack_fraction=slack_fraction,
-                              ckpt_cost_s=ckpt_cost_s)
-    axis = runner.run_bid_axis(policy_label, config, bids, redundant=redundant)
-    return [_point(float(b), axis[float(b)]) for b in dict.fromkeys(bids)]
+    with _with_workers(runner, workers) as runner:
+        config = paper_experiment(slack_fraction=slack_fraction,
+                                  ckpt_cost_s=ckpt_cost_s)
+        axis = runner.run_bid_axis(policy_label, config, bids, redundant=redundant)
+        return [_point(float(b), axis[float(b)]) for b in dict.fromkeys(bids)]
 
 
 def sweep_zones(
@@ -137,11 +145,11 @@ def sweep_zones(
     workers: int | None = None,
 ) -> list[SweepPoint]:
     """Cost vs. redundancy degree N (Section 6's diminishing returns)."""
-    runner = _with_workers(runner, workers)
-    config = paper_experiment(slack_fraction=slack_fraction,
-                              ckpt_cost_s=ckpt_cost_s)
-    points = []
-    for n in degrees:
-        records = runner.run_redundant(policy_label, config, bid, num_zones=n)
-        points.append(_point(n, records))
-    return points
+    with _with_workers(runner, workers) as runner:
+        config = paper_experiment(slack_fraction=slack_fraction,
+                                  ckpt_cost_s=ckpt_cost_s)
+        points = []
+        for n in degrees:
+            records = runner.run_redundant(policy_label, config, bid, num_zones=n)
+            points.append(_point(n, records))
+        return points

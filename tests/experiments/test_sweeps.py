@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.experiments.runner import ExperimentRunner
@@ -55,3 +57,34 @@ class TestSweepShapes:
         row = point.row()
         assert row[0] == 0.5
         assert len(row) == 5
+
+
+def _shm_segments() -> set[str]:
+    """Names of the POSIX shared-memory segments Python created."""
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestWidenedRunner:
+    def test_sweep_closes_the_runner_it_widened(self, monkeypatch):
+        runner = ExperimentRunner("low", num_experiments=2)
+        widened = []
+        with_workers = ExperimentRunner.with_workers
+
+        def spy(self, workers):
+            out = with_workers(self, workers)
+            widened.append(out)
+            return out
+
+        monkeypatch.setattr(ExperimentRunner, "with_workers", spy)
+        before = _shm_segments()
+        points = sweep_slack(runner, [0.15], workers=2)
+        assert [p.value for p in points] == [0.15]
+        assert len(widened) == 1 and widened[0] is not runner
+        assert widened[0]._executor is None
+        assert _shm_segments() <= before
+
+    def test_sweep_never_closes_the_callers_runner(self):
+        with ExperimentRunner("low", num_experiments=2, workers=2) as runner:
+            sweep_slack(runner, [0.15], workers=2)
+            assert runner._executor is not None
