@@ -55,6 +55,12 @@ class TestTransitions:
         assert ZoneState.WAITING not in RUNNING_STATES
         assert ZoneState.DOWN not in RUNNING_STATES
 
+    @pytest.mark.parametrize("state", list(ZoneState))
+    def test_is_running_agrees_with_running_states(self, state):
+        assert ZoneInstance(zone="za", state=state).is_running is (
+            state in RUNNING_STATES
+        )
+
 
 class TestAdvancePipeline:
     def test_queue_then_restart_then_compute(self):
